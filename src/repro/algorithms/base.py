@@ -3,11 +3,13 @@
 :class:`DiscoveryNode` extends the protocol core's :class:`ProtocolNode`
 with the bookkeeping every gossip-style algorithm needs: knowledge
 snapshots (shared, copy-once frozensets so that a broadcast to many
-recipients does not materialize the pointer set per recipient) and delta
-tracking (ids learned since the last send).
+recipients does not materialize the pointer set per recipient), a sorted
+view of the known peers (for seeded peer sampling and ring routing), and
+delta tracking (ids learned since the last send).
 
-Both caches are derived views of ``self.known``; they are invalidated
-through the core's :meth:`~repro.sim.node.ProtocolNode._knowledge_changed`
+The snapshot and the sorted view are derived views of ``self.known``;
+they are invalidated through the core's
+:meth:`~repro.sim.node.ProtocolNode._knowledge_changed`
 hook, which fires for *every* sanctioned knowledge write (``absorb``,
 ``bind``, and host-side ``learn()`` calls alike) — so no host can teach a
 node and then read a stale snapshot.
@@ -16,7 +18,7 @@ node and then read a stale snapshot.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 
 from ..sim.node import ProtocolNode
@@ -28,10 +30,13 @@ class DiscoveryNode(ProtocolNode):
     def __init__(self, node_id: int) -> None:
         super().__init__(node_id)
         self._snapshot: Optional[FrozenSet[int]] = None
+        self._sorted_peers: Optional[List[int]] = None
         self._sent_before: Set[int] = set()
 
     def _knowledge_changed(self) -> None:
-        self._snapshot = None  # knowledge changed; invalidate cache
+        # Knowledge changed; invalidate the cached views.
+        self._snapshot = None
+        self._sorted_peers = None
 
     def knowledge_snapshot(self, include_self: bool = True) -> FrozenSet[int]:
         """A frozen copy of current knowledge, cached until it changes.
@@ -54,15 +59,22 @@ class DiscoveryNode(ProtocolNode):
         """Record that everything currently known has been shared."""
         self._sent_before = set(self.known)
 
+    def sorted_peers(self) -> List[int]:
+        """Known machines other than self, ascending; cached until
+        knowledge changes.  The list is shared: do not mutate it."""
+        if self._sorted_peers is None:
+            self._sorted_peers = sorted(self.known - {self.node_id})
+        return self._sorted_peers
+
     def pick_random_peer(self, rng: Optional[random.Random] = None) -> Optional[int]:
         """A uniformly random known machine other than self, or ``None``.
 
-        Draws from *rng* (defaulting to the node's bound stream).  Sorting
-        before sampling keeps runs deterministic in the seed: Python set
-        iteration order depends on insertion history, which in turn
+        Draws from *rng* (defaulting to the node's bound stream).  Sampling
+        from the sorted view keeps runs deterministic in the seed: Python
+        set iteration order depends on insertion history, which in turn
         depends on inbox ordering — sorting removes that sensitivity.
         """
-        peers = sorted(self.known - {self.node_id})
+        peers = self.sorted_peers()
         if not peers:
             return None
         if rng is None:

@@ -13,9 +13,10 @@ to know every identifier.  Discovery emerges from Chord stabilization:
 successor finger then greets u directly.
 
 Per round, each machine recomputes its finger set from current knowledge
-(an O(log n)-entry table; a cached sorted view of ``known`` makes each
-recomputation ``O(RING_BITS · log n)``), greets first-time fingers with a
-full knowledge snapshot, and pushes the round's knowledge delta to every
+(an O(log n)-entry table; the cached sorted view of ``known`` that
+:meth:`~repro.algorithms.base.DiscoveryNode.sorted_peers` keeps makes
+each recomputation ``O(RING_BITS · log n)``), greets first-time fingers
+with a full knowledge snapshot, and pushes the round's knowledge delta to every
 *link* — every machine that has ever been a finger.  Links only grow and
 each link received the full snapshot when established plus every delta
 since, so a link always knows at least what its owner knew last round;
@@ -34,7 +35,7 @@ tests treat that as incompletion, not as a violation.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..graphs.idspace import finger_targets, ring_successor
 from ..sim.messages import Message
@@ -46,24 +47,13 @@ class ChordDiscoverNode(DiscoveryNode):
 
     def __init__(self, node_id: int) -> None:
         super().__init__(node_id)
-        #: Cached sorted view of ``known - {self}`` for bisect routing.
-        self._sorted_known: Optional[List[int]] = None
         #: Every machine that has ever been a finger: greeted once with a
         #: full snapshot, then kept current with every subsequent delta.
         self._links: Set[int] = set()
 
-    def _knowledge_changed(self) -> None:
-        super()._knowledge_changed()
-        self._sorted_known = None
-
-    def _ring_view(self) -> List[int]:
-        if self._sorted_known is None:
-            self._sorted_known = sorted(self.known - {self.node_id})
-        return self._sorted_known
-
     def finger_table(self) -> Tuple[int, ...]:
         """Distinct fingers, sorted: successor of ``self + 2**k`` per k."""
-        ring = self._ring_view()
+        ring = self.sorted_peers()
         if not ring:
             return ()
         fingers = {

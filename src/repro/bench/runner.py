@@ -62,15 +62,16 @@ def resolve_backend(
 
     An explicit *backend* always wins.  Otherwise ``fast_path=False``
     selects the reference path, and the default fast path auto-upgrades
-    to ``vector`` at ``n >= VECTOR_DEFAULT_MIN_N`` when numpy is
-    importable (falling back to ``fast`` when it is not, so a
-    numpy-less environment still benches rather than erroring).
+    to ``vector`` at ``n >= VECTOR_DEFAULT_MIN_N``.  Both numpy-backed
+    backends need numpy; without it every default run takes the
+    reference path, so a numpy-less environment still benches rather
+    than erroring.
     """
     if backend is not None:
         return backend
-    if not fast_path:
+    if not fast_path or not vector_available():
         return "legacy"
-    if n >= VECTOR_DEFAULT_MIN_N and vector_available():
+    if n >= VECTOR_DEFAULT_MIN_N:
         return "vector"
     return "fast"
 

@@ -222,22 +222,22 @@ def check_script(
 
     On failure returns ``(kind, detail)`` where *kind* is ``invariant``
     (the oracle raised), ``divergence`` (fast path != legacy path),
-    ``vector-divergence`` (vector backend != fast path; skipped when
-    numpy is unavailable), or ``reduction-divergence`` (degenerate model
-    != lockstep).
+    ``vector-divergence`` (vector backend != fast path; both differential
+    checks are skipped when numpy is unavailable, since the fast and
+    vector backends need it), or ``reduction-divergence`` (degenerate
+    model != lockstep).
     """
     try:
         run_script(script, strict=True, engine_hook=engine_hook)
     except OracleViolation as violation:
         return ("invariant", str(violation))
-    if differential:
+    if differential and vector_available():
         report = diff_fast_vs_legacy(script)
         if not report.equal:
             return ("divergence", report.describe())
-        if vector_available():
-            report = diff_vector_vs_fast(script)
-            if not report.equal:
-                return ("vector-divergence", report.describe())
+        report = diff_vector_vs_fast(script)
+        if not report.equal:
+            return ("vector-divergence", report.describe())
     if reduction:
         report = diff_reduction(script)
         if report is not None and not report.equal:

@@ -51,11 +51,16 @@ entry point gets a fast one.
   the carried ids are a subset of the sender's knowledge, so the
   candidate mask upper-bounds what a delivery can teach.  A zero
   candidate mask proves the message teaches nothing in a handful of word
-  operations; a small one is enumerated bit-by-bit and probed against the
-  message; only a large one falls back to a C-level set difference.
-  Complete recipients are skipped outright, and per-message metrics
-  collapse into one
-  :meth:`~repro.sim.metrics.MetricsCollector.record_batch` per round.
+  operations.  With legality enforcement on, the guard (see below) has
+  usually turned a frozenset or tuple payload into a mask already, and
+  learning is one ``AND`` with the candidate mask.  Otherwise a small
+  candidate mask is enumerated bit-by-bit and probed against the
+  message, and a large one intersected with the message translated to a
+  mask.  Complete
+  recipients are skipped outright, and per-message metrics collapse into
+  one :meth:`~repro.sim.metrics.MetricsCollector.record_batch` per round.
+  The fast path needs numpy for its bulk payload conversion; without
+  numpy, ``fast_path=True`` selects the reference path instead.
 
 * the **vector backend** (``backend="vector"``) lifts the same dense
   remap into one bit-packed numpy ``uint8`` matrix of shape
@@ -73,25 +78,33 @@ entry point gets a fast one.
   path.  Requires numpy; constructing a vector engine without it raises
   an :class:`ImportError` naming the fix.
 
-The fast path keeps the ground-truth *sets* behind :attr:`knowledge` in
-one of two regimes.  With ``enforce_legality=True`` they are maintained
-eagerly (the legality guard needs them for its one-``issuperset``-probe
-per message).  With ``enforce_legality=False`` the bitmasks are the only
-eagerly-maintained truth and the sets are materialized lazily — first
-access after a round extracts just the newly-set bits — so a run that
-never reads :attr:`knowledge` (the common benchmark case) never pays for
-set maintenance at all.  Note the contract this rests on:
-``enforce_legality=False`` is a *promise* that the protocol is legal,
-not a license to cheat — an illegal protocol run without enforcement has
-undefined ground truth on either path (the legacy path happens to learn
-smuggled real ids; the fast path happens not to).  Run anything
-untrusted with the default ``enforce_legality=True``, where all
-backends raise identical :class:`ProtocolViolation`\\ s.  The vector
-backend keeps the sets lazily in *both* regimes: with enforcement on
-they are synchronized once at the start of every round (knowledge only
-changes at round boundaries, so that is exactly when the legality guard
-needs them current), and without enforcement only on external
-:attr:`knowledge` reads.
+On the fast path the bitmasks are the only ground truth, with legality
+enforcement on or off.  The ground-truth *sets* behind :attr:`knowledge`
+are a lazy cache: the first access after a round extracts just the
+newly-set bits, so a run that never reads :attr:`knowledge` never pays
+for set maintenance at all.  The legality guard works without the sets
+too.  A message passes only if its recipient's bit and its payload lie
+inside the sender's mask.  For a sender that knows all but a few
+machines, two C-level set probes decide the payload: every id names a
+machine, and none names one of the few the sender does not know.  Any
+other sender's payloads are turned into masks, each distinct frozenset
+or tuple payload once and a mutable payload once per message.  The
+frozen payloads' masks are kept until the messages carrying them have
+arrived, and delivery learns from them instead of re-reading the
+payload.  On any
+suspected violation the guard brings the sets up to date and re-runs the
+reference scan, so all backends raise identical
+:class:`ProtocolViolation`\\ s.  Note the contract the unchecked mode
+rests on: ``enforce_legality=False`` is a *promise* that the protocol is
+legal, not a license to cheat — an illegal protocol run without
+enforcement has undefined ground truth on either path (the legacy path
+happens to learn smuggled real ids; the fast path happens not to).  Run
+anything untrusted with the default ``enforce_legality=True``.  The
+vector backend keeps the sets lazily as well: with enforcement on they
+are synchronized once at the start of every round (knowledge only
+changes at round boundaries, so that is exactly when its set-based
+legality guard needs them current), and without enforcement only on
+external :attr:`knowledge` reads.
 
 See docs/PERF.md for the measured effect of each of these changes.
 """
@@ -100,12 +113,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from operator import attrgetter
+from collections import deque
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import (
     Any,
     Callable,
     Collection,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -128,7 +143,13 @@ from .node import ProtocolNode
 from .observers import Observer
 from .rng import derive_rng
 from .transport import BoundedJitter, DeliveryModel, Lockstep, parse_delivery
-from .vector_kernel import VectorState, np, pack_message_ids
+from .vector_kernel import (
+    VectorState,
+    np,
+    pack_message_ids,
+    require_numpy,
+    vector_available,
+)
 
 NodeFactory = Callable[[int], ProtocolNode]
 GoalPredicate = Callable[["SynchronousEngine"], bool]
@@ -151,6 +172,27 @@ _recipient_of = attrgetter("recipient")
 #: (``{id: 1 << bit}``).  The table costs Θ(n²/8) bytes (32 MiB at the
 #: cutoff); beyond it, masks are assembled through a byte buffer instead.
 _POW2_TABLE_MAX_N = 1 << 14
+
+#: Payloads with ``len(ids) * n`` up to this many bits become masks by
+#: summing power-of-two table entries (each addition allocates one n-bit
+#: int); larger ones take one numpy scatter and ``np.packbits``, whose
+#: fixed cost of a few microseconds only pays off past it.
+_SUM_PAYLOAD_BITS = 1 << 16
+
+#: A row with at most this many bits new since the last set sync adds
+#: them one by one; more go through one ``np.unpackbits``, whose fixed
+#: cost of ~15 µs only pays off past it.
+_SYNC_LOOP_BITS = 32
+
+#: Payload types whose masks the legality guard keeps for delivery.  A
+#: mutable payload (say a node's live ``known`` set) may grow between its
+#: send and its delivery, and delivery must teach what it holds then, as
+#: the legacy path does; so it is converted per message and re-read.
+_FROZEN_PAYLOADS = (frozenset, tuple)
+
+#: A sender missing at most this many machines has its payloads checked
+#: with set probes against the ids it may not name, not converted.
+_ABSENT_MAX = 64
 
 
 def default_max_rounds(n: int) -> int:
@@ -201,17 +243,24 @@ class SynchronousEngine:
             default) means lockstep, or bounded jitter when ``jitter`` is
             given.
         observers: Read-only observers notified per round.
-        enforce_legality: Verify the ids of every message against the
-            sender's ground-truth knowledge.  Costs O(total pointers) on
-            both paths; benchmarks may disable it, tests keep it on.
+        enforce_legality: Verify the recipient and the ids of every
+            message against the sender's ground-truth knowledge.  Costs
+            O(total pointers) on every backend: per-id set probes on the
+            legacy path; on the fast path, set probes for a sender that
+            knows all but a few machines and otherwise one mask
+            conversion per distinct payload object per round (which
+            delivery then reuses); one C-level superset probe per
+            message on the vector backend.  Benchmarks may disable it, tests keep
+            it on.
         fast_path: Use the dense bitmask execution path (see the module
             docstring).  Defaults to ``False`` here (the reference path);
             the bench harness, CLI, and :func:`repro.discover` pass
             ``True``.  Produces bit-identical :class:`RunResult`\\ s;
             the differential test suite holds the two paths equal.
-        backend: Execution backend by name — ``"legacy"``, ``"fast"``,
-            or ``"vector"`` (the bit-packed numpy kernel; requires
-            numpy).  ``None`` (the default) defers to ``fast_path``.
+            Without numpy it selects the reference path.
+        backend: Execution backend by name — ``"legacy"``, ``"fast"``
+            (requires numpy), or ``"vector"`` (the bit-packed numpy
+            kernel; requires numpy).  ``None`` (the default) defers to ``fast_path``.
             An explicit backend always wins over ``fast_path``.
         profile: Accumulate per-phase wall-clock timings (exposed as
             :attr:`phase_timings` and ``RunResult.extra["phase_timings"]``).
@@ -255,7 +304,7 @@ class SynchronousEngine:
         self._goal_fn = self._resolve_goal(goal)
         self.enforce_legality = enforce_legality
         if backend is None:
-            backend = "fast" if fast_path else "legacy"
+            backend = "fast" if fast_path and vector_available() else "legacy"
         elif backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -295,8 +344,9 @@ class SynchronousEngine:
 
         # Ground-truth knowledge and its derived counters.  ``_ksets`` is
         # the storage behind the public ``knowledge`` property; on the
-        # no-enforcement fast path it is synchronized lazily from the
-        # bitmasks (``_ksets_stale`` / ``_kcache_masks``).
+        # fast and vector backends it is a cache synchronized lazily from
+        # the masks or rows (``_ksets_stale`` / ``_kcache_masks`` /
+        # ``_vdirty``).
         self._ksets: Dict[int, Set[int]] = {}
         self._ksets_stale = False
         self._complete_nodes = 0
@@ -342,8 +392,20 @@ class SynchronousEngine:
                 self._complete_nodes += 1
 
     def _init_fast_state(self) -> None:
+        require_numpy("fast")
         n = self.n
         self._mask_nbytes = (n + 7) >> 3
+        # ``{id(ids): (ids, mask)}`` for the immutable payloads of the
+        # messages in flight: filled by the legality guard, read by
+        # delivery.  Holding each payload keeps its id() valid.  The keys
+        # memoized in each step form one generation; a generation is
+        # dropped once every message sent in its step has been delivered,
+        # i.e. after as many steps as the longest delivery delay.
+        self._payload_masks: Dict[int, Tuple[Collection[int], int]] = {}
+        self._memo_keys: List[int] = []
+        self._memo_generations: Deque[List[int]] = deque()
+        delivery = self.delivery
+        self._memo_window = delivery.uniform_delay or delivery.delay_bound or 1
         self._full_mask = (1 << n) - 1
         if n <= _POW2_TABLE_MAX_N:
             self._pow2: Optional[Dict[int, int]] = {
@@ -360,9 +422,8 @@ class SynchronousEngine:
             if size == n:
                 self._complete_nodes += 1
                 self._complete_mask |= 1 << idx
-        if not self.enforce_legality:
-            # Mask-only regime: the sets are a lazily-synchronized cache.
-            self._kcache_masks = list(self._kmasks)
+        # Each mask as of the last set sync: the sets are a lazy cache.
+        self._kcache_masks = list(self._kmasks)
 
     def _init_vector_state(self) -> None:
         state = VectorState(self.n)  # raises a clear error without numpy
@@ -382,9 +443,10 @@ class SynchronousEngine:
     def knowledge(self) -> Dict[int, Set[int]]:
         """Ground-truth knowledge sets, keyed by machine id.
 
-        Always current when read.  On the no-enforcement fast path the
-        round loop maintains only the bitmasks; this accessor extracts
-        the bits set since the last access before handing the dict out.
+        Always current when read.  The fast and vector backends keep
+        their ground truth in masks or packed rows only; this accessor
+        folds the bits set since the last access into the sets before
+        handing the dict out.
         """
         if self._ksets_stale:
             self._sync_knowledge_sets()
@@ -393,32 +455,44 @@ class SynchronousEngine:
     def _sync_knowledge_sets(self) -> None:
         """Fold mask growth since the last sync back into the sets.
 
-        Monotonicity makes this cheap: knowledge only ever grows, so each
-        node costs one integer comparison plus one ``set.add`` per
-        *newly*-set bit — O(total learning) over a whole run no matter
-        how often it is called.
+        This is the only producer of the sets on the fast and vector
+        backends.  Monotonicity makes it cheap: knowledge only ever
+        grows, so an unchanged node costs one identity test, and a
+        changed one the extraction of its new bits plus their set
+        insertions — O(total learning) over a whole run no matter how
+        often it is called.  On the fast path a row with at most
+        ``_SYNC_LOOP_BITS`` new bits peels them off one by one; more go
+        through one ``np.unpackbits``.
         """
         node_ids = self.node_ids
+        # Mapping bits through node_ids shares its int objects instead of
+        # allocating one per set entry.
+        node_id = node_ids.__getitem__
         ksets = self._ksets
         if self.backend == "vector":
             state = self._vstate
             for idx, cached_row in self._vdirty.items():
-                known = ksets[node_ids[idx]]
-                for bit in state.row_new_bits(idx, cached_row).tolist():
-                    known.add(node_ids[bit])
+                fresh = state.row_new_bits(idx, cached_row).tolist()
+                ksets[node_ids[idx]].update(map(node_id, fresh))
             self._vdirty.clear()
-            self._ksets_stale = False
-            return
-        kmasks = self._kmasks
-        cache = self._kcache_masks
-        for idx, mask in enumerate(kmasks):
-            fresh = mask & ~cache[idx]
-            if fresh:
+        else:
+            nbytes = self._mask_nbytes
+            cache = self._kcache_masks
+            for idx, mask in enumerate(self._kmasks):
+                cached = cache[idx]
+                if mask is cached:
+                    continue
+                fresh = mask & ~cached
                 known = ksets[node_ids[idx]]
-                while fresh:
-                    low = fresh & -fresh
-                    known.add(node_ids[low.bit_length() - 1])
-                    fresh ^= low
+                if fresh.bit_count() <= _SYNC_LOOP_BITS:
+                    while fresh:
+                        bit = fresh.bit_length() - 1
+                        known.add(node_ids[bit])
+                        fresh ^= 1 << bit
+                else:
+                    row = np.frombuffer(fresh.to_bytes(nbytes, "little"), dtype=np.uint8)
+                    bits = np.flatnonzero(np.unpackbits(row, bitorder="little"))
+                    known.update(itemgetter(*bits.tolist())(node_ids))
                 cache[idx] = mask
         self._ksets_stale = False
 
@@ -431,12 +505,12 @@ class SynchronousEngine:
         """Translate a duplicate-free collection of real machine ids into
         a dense bitmask.
 
-        Only ever called on clean inputs (initial adjacencies, freshly
-        computed new-knowledge sets, the alive set), so no stray filtering
-        is needed.  With the power-of-two table the translation runs
-        entirely in C loops (the ids are distinct, so summing their
-        distinct powers of two equals a bitwise OR); past the table's
-        memory cutoff a byte buffer is filled instead.
+        Only ever called on clean inputs (initial adjacencies, the alive
+        set, injected knowledge), so no stray filtering is needed.  With
+        the power-of-two table the translation runs entirely in C loops
+        (the ids are distinct, so summing their distinct powers of two
+        equals a bitwise OR); past the table's memory cutoff a byte
+        buffer is filled instead.
         """
         pow2 = self._pow2
         if pow2 is not None:
@@ -470,6 +544,48 @@ class SynchronousEngine:
             if bit is not None:
                 buf[bit >> 3] |= 1 << (bit & 7)
         return int.from_bytes(buf, "little")
+
+    def _age_payload_masks(self) -> None:
+        """Close this step's memo generation and drop the oldest one once
+        no message that carried its payloads can still be in flight."""
+        generations = self._memo_generations
+        generations.append(self._memo_keys)
+        self._memo_keys = []
+        if len(generations) >= self._memo_window:
+            memo = self._payload_masks
+            for key in generations.popleft():
+                del memo[key]
+
+    def _payload_mask(self, ids: Collection[int]) -> Optional[int]:
+        """The legality guard's mask of a protocol payload, or ``None``
+        when some carried id names no simulated machine (or cannot be
+        read as one), leaving the verdict to the reference scan.
+
+        Duplicates are allowed.  Every id is looked up by exact key, as
+        the other backends' set probes do, so only an id equal to a
+        machine's id names it.  Small payloads sum power-of-two table
+        entries; a sum whose popcount falls short of ``len(ids)`` has
+        carried over a duplicate and is redone over the distinct ids.
+        Large payloads go through the dense index in one ``itemgetter``
+        call, then one numpy scatter and ``np.packbits``.
+        """
+        count = len(ids)
+        pow2 = self._pow2
+        try:
+            if pow2 is not None and count * self.n <= _SUM_PAYLOAD_BITS:
+                mask = sum(map(pow2.__getitem__, ids))
+                if mask.bit_count() != count:
+                    mask = sum(map(pow2.__getitem__, set(ids)))
+                return mask
+            if not count:
+                return 0
+            dense = itemgetter(*ids)(self._index)
+        except (KeyError, TypeError):
+            return None
+        bits = np.fromiter(dense if count > 1 else (dense,), dtype=np.intp, count=count)
+        flags = np.zeros(self.n, dtype=bool)
+        flags[bits] = True
+        return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
 
     # -- goal predicates ----------------------------------------------------------
 
@@ -699,11 +815,7 @@ class SynchronousEngine:
                 idx = self._index[node]
                 add = self._mask_from_ids(new_ids) & ~self._kmasks[idx]
                 if add:
-                    if self.enforce_legality:
-                        # Sets are maintained eagerly in legality mode.
-                        self._ksets[node].update(new_ids)
-                    else:
-                        self._ksets_stale = True
+                    self._ksets_stale = True
                     self._apply_mask(node, idx, add)
             else:
                 self._learn(node, new_ids)
@@ -743,7 +855,10 @@ class SynchronousEngine:
         if self.backend == "vector":
             self._step_vector()
         elif self.fast_path:
-            self._step_fast()
+            try:
+                self._step_fast()
+            finally:
+                self._age_payload_masks()
         else:
             self._step_legacy()
 
@@ -823,10 +938,15 @@ class SynchronousEngine:
     ) -> List[Message]:
         """Protocol phase shared by the fast and vector backends: run
         every live, non-dormant node against its inbox and drain the
-        outboxes, legality-checking each with the one-probe-per-message
-        guard when enforcement is on."""
+        outboxes, legality-checking each when enforcement is on (payload
+        masks on the fast path, set probes on the vector backend)."""
         round_no = self.round_no
-        enforce = self.enforce_legality
+        check = None
+        if self.enforce_legality:
+            if self.fast_path:
+                check = self._check_legality_masks
+            else:
+                check = self._check_legality_sets
         inboxes = self._inboxes
         sends: List[Message] = []
         for node, protocol in self.nodes.items():
@@ -837,8 +957,8 @@ class SynchronousEngine:
             inbox = inboxes.pop(node, _EMPTY_INBOX)
             outbox = protocol.run_round(round_no, inbox)
             if outbox:
-                if enforce:
-                    self._check_legality_fast(node, outbox)
+                if check is not None:
+                    check(node, outbox)
                 sends.extend(outbox)
         return sends
 
@@ -907,12 +1027,12 @@ class SynchronousEngine:
             )
 
     def _step_fast(self) -> None:
-        """Dense round body: bulk set operations, mask-mirrored counters,
-        completion short-circuits, and batched accounting."""
+        """Dense round body: mask-only ground truth, learning from the
+        legality guard's payload masks where it has them, completion
+        short-circuits, and batched accounting."""
         profile = self.profile
         tick = perf_counter() if profile else 0.0
         round_no = self.round_no
-        enforce = self.enforce_legality
 
         crashed = self._faults.crashed_map
         joins = self._joins if self._joins.join_rounds else None
@@ -942,7 +1062,7 @@ class SynchronousEngine:
             node_ids = self.node_ids
             pow2 = self._pow2
             full = self._full_mask
-            ksets = self._ksets if enforce else None
+            payload_masks = self._payload_masks
             metrics = self.metrics
             learned = False
             track = log is not None
@@ -1015,59 +1135,29 @@ class SynchronousEngine:
                     if cand:
                         ids = message.ids
                         setlike = isinstance(ids, (set, frozenset))
-                        add = cand & sbit  # the sender itself is always learned
-                        if setlike and cand.bit_count() * 4 <= len(ids):
+                        checked = payload_masks.get(id(ids)) if payload_masks else None
+                        if checked is not None:
+                            # The legality guard converted this payload
+                            # when the message was sent.
+                            add = (checked[1] | sbit) & cand
+                        elif setlike and cand.bit_count() * 4 <= len(ids):
                             # Few candidates, big message: enumerate the
                             # candidate bits and probe them against the
                             # message instead of scanning every pointer.
+                            add = cand & sbit  # the sender is always learned
                             m = cand ^ add
-                            if ksets is None:
-                                while m:
-                                    low = m & -m
-                                    if node_ids[low.bit_length() - 1] in ids:
-                                        add |= low
-                                    m ^= low
-                                if add:
-                                    self._apply_mask(recipient, ri, add)
-                                    learned = True
-                            else:
-                                fresh = [sender] if add else []
-                                while m:
-                                    low = m & -m
-                                    nid = node_ids[low.bit_length() - 1]
-                                    if nid in ids:
-                                        add |= low
-                                        fresh.append(nid)
-                                    m ^= low
-                                if add:
-                                    ksets[recipient].update(fresh)
-                                    self._apply_mask(recipient, ri, add)
-                        elif ksets is None:
-                            # Mask-only regime: translate the message once
-                            # and intersect with the candidates.
-                            add |= self._mask_from_message_ids(ids) & cand
-                            if add:
-                                self._apply_mask(recipient, ri, add)
-                                learned = True
+                            while m:
+                                low = m & -m
+                                if node_ids[low.bit_length() - 1] in ids:
+                                    add |= low
+                                m ^= low
                         else:
-                            # Sets are maintained eagerly (legality mode):
-                            # one C-level difference yields the new ids.
-                            known = ksets[recipient]
-                            if setlike:
-                                new_ids = ids - known
-                            else:
-                                new_ids = set(ids)
-                                new_ids.difference_update(known)
-                            if add:
-                                # The difference of two frozensets is frozen.
-                                if isinstance(new_ids, frozenset):
-                                    new_ids = set(new_ids)
-                                new_ids.add(sender)
-                            if new_ids:
-                                known |= new_ids
-                                self._apply_mask(
-                                    recipient, ri, self._mask_from_ids(new_ids)
-                                )
+                            # Translate the message once and intersect
+                            # with the candidates.
+                            add = (self._mask_from_message_ids(ids) | sbit) & cand
+                        if add:
+                            self._apply_mask(recipient, ri, add)
+                            learned = True
                 nodes[recipient].absorb(message)
             if learned:
                 self._ksets_stale = True
@@ -1227,13 +1317,14 @@ class SynchronousEngine:
                         f"{message.kind!r} message carries unknown id {target}",
                     )
 
-    def _check_legality_fast(self, node: int, outbox: Sequence[Message]) -> None:
-        """Whole-outbox legality guard for the fast path.
+    def _check_legality_sets(self, node: int, outbox: Sequence[Message]) -> None:
+        """Whole-outbox legality guard for the vector backend.
 
         Each message is validated with one C-level superset probe against
-        the sender's ground truth instead of an interpreted per-id loop.
-        On any suspected violation the reference scan re-runs to raise
-        the exact legacy :class:`ProtocolViolation`.
+        the sender's knowledge set (synchronized at the start of the
+        round) instead of an interpreted per-id loop.  On any suspected
+        violation the reference scan re-runs to raise the exact legacy
+        :class:`ProtocolViolation`.
         """
         known = self._ksets[node]
         for message in outbox:
@@ -1243,6 +1334,91 @@ class SynchronousEngine:
                     f"legality fast path flagged node {node} but the "
                     "reference scan found no violation"
                 )
+
+    def _check_legality_masks(self, node: int, outbox: Sequence[Message]) -> None:
+        """Whole-outbox legality guard for the fast path.
+
+        A message passes when its recipient's bit and its payload lie
+        inside the sender's mask.  A sender missing at most
+        ``_ABSENT_MAX`` machines has its payloads decided by two C-level
+        set probes: every id names a machine, and none names one the
+        sender does not know.  Such a payload is converted to a mask only
+        when delivery would otherwise translate it, that is when the
+        recipient may learn more than a quarter of it.  Any other
+        sender's payloads are converted (:meth:`_payload_mask`): a
+        mutable one for each message that carries it, a frozenset or
+        tuple once, memoized in ``_payload_masks`` until every message
+        sent with it has arrived, for delivery to reuse.  When a check
+        fails, or a payload cannot be
+        converted, the lazy sets are brought up to date and the reference
+        scan decides, raising the exact legacy
+        :class:`ProtocolViolation`.
+        """
+        index = self._index
+        pow2 = self._pow2
+        memo = self._payload_masks
+        kmasks = self._kmasks
+        known = kmasks[index[node]]
+        missing = self._full_mask ^ known
+        absent: Optional[Set[int]] = None
+        if missing.bit_count() <= _ABSENT_MAX:
+            id_set = self._id_set
+            node_ids = self.node_ids
+            absent = set()
+            while missing:
+                low = missing & -missing
+                absent.add(node_ids[low.bit_length() - 1])
+                missing ^= low
+        flagged = False
+        for message in outbox:
+            recipient = message.recipient
+            if pow2 is not None:
+                rbit = pow2.get(recipient)
+            else:
+                ri = index.get(recipient)
+                rbit = None if ri is None else 1 << ri
+            if rbit is None or not rbit & known:
+                flagged = True
+                break
+            ids = message.ids
+            if absent is not None:
+                if not id_set.issuperset(ids) or (
+                    absent and not absent.isdisjoint(ids)
+                ):
+                    flagged = True
+                    break
+                if type(ids) not in _FROZEN_PAYLOADS:
+                    continue
+                # Mirror delivery's choice between enumerating the
+                # candidate bits and translating the payload.
+                cand = known & ~kmasks[rbit.bit_length() - 1]
+                if not cand or (
+                    type(ids) is frozenset and cand.bit_count() * 4 <= len(ids)
+                ):
+                    continue
+            entry = memo.get(id(ids))
+            if entry is not None:
+                mask = entry[1]
+            else:
+                mask = self._payload_mask(ids)
+                if mask is None:
+                    break
+                if type(ids) in _FROZEN_PAYLOADS:
+                    memo[id(ids)] = (ids, mask)
+                    self._memo_keys.append(id(ids))
+            if mask | known != known:
+                flagged = True
+                break
+        else:
+            return
+        if self._ksets_stale:
+            self._sync_knowledge_sets()
+        self._check_legality(node, outbox)
+        if flagged:
+            raise EngineStateError(  # pragma: no cover - defensive
+                f"legality mask guard flagged node {node} but the "
+                "reference scan found no violation"
+            )
 
     # -- results -------------------------------------------------------------------
 

@@ -29,7 +29,11 @@ class Message:
         sender: Identifier of the sending machine.
         recipient: Identifier of the receiving machine.
         ids: Machine identifiers carried by this message.  The recipient
-            learns every one of them upon delivery.
+            learns every one of them upon delivery.  Do not change a
+            mutable payload after the send: the legacy and fast
+            backends read it as it is at delivery, while the vector
+            backend decides which deliveries can teach from knowledge
+            as of the start of the delivery batch.
         data: O(1)-word bookkeeping payload (may be ``None``).
     """
 

@@ -35,10 +35,11 @@ n = 10^5, 125 GB at n = 10^6 (the last is out of reach for one box with
 ordinary memory; see docs/PERF.md for the measured footprint column).
 
 numpy is a declared runtime dependency, but the simulator core must stay
-importable without it (only :mod:`repro.analysis` needed it before this
-module existed).  Everything here therefore guards the import:
-:func:`vector_available` reports whether the backend can run, and
-:func:`require_numpy` raises one clear, actionable error otherwise.
+importable without it, and the legacy backend runs without it.  This
+module therefore guards the import: :func:`vector_available` reports
+whether the backend can run, and :func:`require_numpy` raises one clear,
+actionable error when the vector (or the fast) backend is built without
+it.
 """
 
 from __future__ import annotations
@@ -75,15 +76,15 @@ def vector_available() -> bool:
     return np is not None
 
 
-def require_numpy() -> None:
-    """Raise a clear error when the vector backend is requested but
-    numpy is missing."""
+def require_numpy(backend: str = "vector") -> None:
+    """Raise a clear error when a numpy-backed engine backend (``fast``
+    or ``vector``) is requested but numpy is missing."""
     if np is None:
         raise ImportError(
-            "the 'vector' engine backend requires numpy, which is a "
+            f"the {backend!r} engine backend requires numpy, which is a "
             "declared dependency of this package but is not importable "
             "in this environment; install it (pip install numpy) or "
-            "select backend='fast' / backend='legacy' instead"
+            "select backend='legacy' instead"
         )
 
 

@@ -104,3 +104,21 @@ class TestRandomPeer:
         assert [a.pick_random_peer() for _ in range(8)] == [
             b.pick_random_peer() for _ in range(8)
         ]
+
+    def test_learning_between_picks_makes_new_id_pickable(self):
+        # The sorted peer view is cached across picks; a learn() between
+        # two picks must invalidate it so the new id can be drawn.
+        node = make_node(knows=(2,))
+        assert node.pick_random_peer() == 2
+        node.learn((9,))
+        assert node.sorted_peers() == [2, 9]
+        assert 9 in {node.pick_random_peer() for _ in range(64)}
+
+    def test_sorted_view_is_cached_until_change(self):
+        node = make_node(knows=(5, 3, 4))
+        view = node.sorted_peers()
+        assert view == [3, 4, 5]
+        node.pick_random_peer()
+        assert node.sorted_peers() is view
+        node.learn((4,))  # nothing new: the view survives
+        assert node.sorted_peers() is view

@@ -370,21 +370,229 @@ def test_unknown_recipient_raises_on_both_paths(enforce, fast):
 
 
 def test_knowledge_property_is_lazy_but_current():
-    """On the no-enforcement fast path the sets are materialized on
-    demand — and must always reflect the bitmask state when read."""
-    graph = make_topology("kout", 16, seed=2, k=3)
+    """On the fast path the sets are materialized on demand, with or
+    without enforcement — and must always reflect the bitmask state when
+    read."""
     spec = get_algorithm("namedropper")
-    engine = SynchronousEngine(
+    # At n = 16 each row gains a few bits per round, at n = 128 some gain
+    # dozens: the set sync takes its bit loop and its numpy route.
+    for n, enforce in [(16, False), (16, True), (128, False), (128, True)]:
+        graph = make_topology("kout", n, seed=2, k=3)
+        engine = SynchronousEngine(
+            graph,
+            spec.node_factory(),
+            seed=5,
+            enforce_legality=enforce,
+            fast_path=True,
+        )
+        reference = SynchronousEngine(
+            graph, spec.node_factory(), seed=5, enforce_legality=enforce, fast_path=False
+        )
+        for _ in range(4):
+            engine.step()
+            reference.step()
+            assert dict(engine.knowledge) == dict(reference.knowledge)
+
+
+# -- legality parity: every backend raises the same ProtocolViolation ----------
+
+
+class _ScriptedNode(ProtocolNode):
+    """Sends exactly the messages its script lists for (round, node)."""
+
+    def __init__(self, node_id, script):
+        super().__init__(node_id)
+        self.script = script
+
+    def on_round(self, round_no, inbox, rng):
+        from repro.sim.messages import Message
+
+        for recipient, ids in self.script.get((round_no, self.node_id), ()):
+            self._outbox.append(
+                Message(kind="x", sender=self.node_id, recipient=recipient, ids=ids)
+            )
+
+
+def _scripted_engine(graph, script, backend):
+    return SynchronousEngine(
         graph,
-        spec.node_factory(),
-        seed=5,
-        enforce_legality=False,
-        fast_path=True,
+        lambda node: _ScriptedNode(node, script),
+        seed=1,
+        enforce_legality=True,
+        backend=backend,
     )
-    reference = SynchronousEngine(
-        graph, spec.node_factory(), seed=5, enforce_legality=False, fast_path=False
-    )
-    for _ in range(4):
-        engine.step()
-        reference.step()
-        assert dict(engine.knowledge) == dict(reference.knowledge)
+
+
+def _violation_texts(graph, script, rounds=3):
+    """The ProtocolViolation text each backend raises for *script*."""
+    texts = {}
+    for backend in ("legacy", "fast", "vector"):
+        engine = _scripted_engine(graph, script, backend)
+        with pytest.raises(ProtocolViolation) as excinfo:
+            for _ in range(rounds):
+                engine.step()
+        texts[backend] = str(excinfo.value)
+    return texts
+
+
+def _ring(ids):
+    """Each machine knows its two ring neighbours."""
+    ids = list(ids)
+    return {
+        node: {ids[i - 1], ids[(i + 1) % len(ids)]} for i, node in enumerate(ids)
+    }
+
+
+#: One id space whose ids are their own bit positions, and one sparse
+#: one.  Both are large enough that a ring machine misses more machines
+#: than the fast guard's set-probe route takes (``_ABSENT_MAX``).
+_ID_SPACES = {
+    "dense": list(range(128)),
+    "random": [1_000_003 * k + 7 for k in range(128)],
+}
+
+#: How much machine ids[0], the sender below, knows: its ring neighbours
+#: (the fast guard converts its payloads to masks), or every machine but
+#: ids[32] and ids[33] (the guard probes sets instead).
+_VIEWS = ("ring", "almost-all")
+
+
+def _graph(ids, view):
+    graph = _ring(ids)
+    if view == "almost-all":
+        graph[ids[0]] = set(ids) - {ids[0], ids[32], ids[33]}
+    return graph
+
+
+@pytest.mark.parametrize("space", sorted(_ID_SPACES))
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("large", [False, True])
+def test_carried_unlearned_real_id_violation_matches(space, view, large):
+    ids = _ID_SPACES[space]
+    sender, peer, stranger = ids[0], ids[1], ids[32]
+    # A large payload takes the numpy conversion, a small one the sums.
+    payload = (peer,) * (5000 if large else 1) + (stranger,)
+    texts = _violation_texts(_graph(ids, view), {(1, sender): [(peer, payload)]})
+    assert texts["legacy"] == texts["fast"] == texts["vector"]
+    assert f"carries unknown id {stranger}" in texts["legacy"]
+
+
+@pytest.mark.parametrize("space", sorted(_ID_SPACES))
+@pytest.mark.parametrize("view", _VIEWS)
+def test_unknown_real_recipient_violation_matches(space, view):
+    ids = _ID_SPACES[space]
+    sender, peer, stranger = ids[0], ids[1], ids[32]
+    texts = _violation_texts(_graph(ids, view), {(1, sender): [(stranger, (peer,))]})
+    assert texts["legacy"] == texts["fast"] == texts["vector"]
+    assert f"to unknown node {stranger}" in texts["legacy"]
+
+
+@pytest.mark.parametrize("padding", [0, 100])
+def test_violation_after_fresh_learning_reads_current_knowledge(padding):
+    # Round 1 teaches machine 0 about machine 2.  In round 2 machine 0's
+    # first message is legal only through that learning and its second is
+    # illegal: a reference scan on stale knowledge would blame the first.
+    # A chain of extra machines past 3 sends machine 0 from the guard's
+    # set-probe route to its mask conversion.
+    n = 4 + padding
+    graph = {node: {node - 1, node + 1} & set(range(n)) for node in range(n)}
+    graph[2] = {1, 3}
+    graph[3] = {2} | ({4} if padding else set())
+    graph[0] = {1}
+    script = {
+        (1, 1): [(0, (2,))],
+        (2, 0): [(2, (1,)), (1, (3,))],
+    }
+    texts = _violation_texts(graph, script)
+    assert texts["legacy"] == texts["fast"] == texts["vector"]
+    assert "carries unknown id 3" in texts["legacy"]
+
+
+@pytest.mark.parametrize("space", sorted(_ID_SPACES))
+@pytest.mark.parametrize("view", _VIEWS)
+def test_shared_and_duplicate_payloads_are_legal_and_identical(space, view):
+    ids = _ID_SPACES[space]
+    graph = {node: set(ids) - {node} for node in ids[:8]}
+    graph.update(_ring(ids[8:]))
+    graph[ids[8]] |= {ids[0]}
+    if view == "almost-all":
+        graph[ids[0]] = set(ids) - {ids[0], ids[32], ids[33]}
+    shared = frozenset(ids[:8])
+    script = {
+        # One payload object carried to several recipients.
+        (1, ids[0]): [(ids[k], shared) for k in (1, 2, 3, 8)],
+        # Tuples with duplicate ids, small (sums) and large (numpy).
+        (1, ids[1]): [(ids[9], (ids[2], ids[2], ids[3]))],
+        (2, ids[8]): [(ids[9], (ids[4],) * 3000 + (ids[5],) * 3000)],
+    }
+    engines = [_scripted_engine(graph, script, b) for b in ("legacy", "fast", "vector")]
+    for _ in range(3):
+        digests = set()
+        for engine in engines:
+            engine.step()
+            digests.add(engine.knowledge_digest())
+        assert len(digests) == 1
+    assert ids[5] in engines[1].knowledge[ids[9]]
+    assert dict(engines[0].knowledge) == dict(engines[1].knowledge)
+
+
+@pytest.mark.parametrize("space", sorted(_ID_SPACES))
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("bad", [-1, -(2**70), 2**63, 2**64 + 5])
+@pytest.mark.parametrize("large", [False, True])
+def test_out_of_range_ids_raise_protocol_violation(space, view, bad, large):
+    ids = _ID_SPACES[space]
+    payload = (ids[1],) * (5000 if large else 1) + (bad,)
+    texts = _violation_texts(_graph(ids, view), {(1, ids[0]): [(ids[1], payload)]})
+    assert texts["legacy"] == texts["fast"] == texts["vector"]
+    assert f"carries unknown id {bad}" in texts["legacy"]
+
+
+@pytest.mark.parametrize("space", sorted(_ID_SPACES))
+@pytest.mark.parametrize(
+    "make_bad",
+    [lambda ids: 5.5, lambda ids: "5", lambda ids: ids[1] + 0.5, lambda ids: str(ids[1])],
+    ids=["5.5", "str-5", "neighbour-plus-half", "str-neighbour"],
+)
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("large", [False, True])
+def test_non_integer_ids_raise_protocol_violation(space, make_bad, view, large):
+    # int() would read the last two as the sender's neighbour ids[1],
+    # which it may name; only an id equal to a machine's id names it.
+    ids = _ID_SPACES[space]
+    bad = make_bad(ids)
+    payload = (ids[1],) * (5000 if large else 1) + (bad,)
+    texts = _violation_texts(_graph(ids, view), {(1, ids[0]): [(ids[1], payload)]})
+    assert texts["legacy"] == texts["fast"] == texts["vector"]
+    assert f"carries unknown id {bad}" in texts["legacy"]
+
+
+class _LiveKnownNode(ProtocolNode):
+    """Sends its own live ``known`` set, not a copy, to every machine it
+    knows: the payload grows while the round's deliveries run, and each
+    delivery must teach what the set holds at that moment."""
+
+    def on_round(self, round_no, inbox, rng):
+        for peer in sorted(self.known - {self.node_id}):
+            self.send(peer, "live", ids=self.known)
+
+
+@pytest.mark.parametrize("space", ["dense", "random"])
+def test_mutable_payload_is_read_at_delivery(space):
+    # Legacy and fast only: the vector backend screens a round's
+    # deliveries against knowledge as of the batch start, so it does not
+    # follow a payload that grows mid-batch (see the Message docstring).
+    # At n = 96 the first rounds' senders miss too many machines for the
+    # guard's set-probe route, so their payloads are converted to masks.
+    graph = make_topology("kout", 96, seed=3, k=2, id_space=space)
+    engines = [
+        SynchronousEngine(graph, _LiveKnownNode, seed=1, backend=backend)
+        for backend in ("legacy", "fast")
+    ]
+    for _ in range(3):
+        digests = set()
+        for engine in engines:
+            engine.step()
+            digests.add(engine.knowledge_digest())
+        assert len(digests) == 1
+    assert dict(engines[0].knowledge) == dict(engines[1].knowledge)

@@ -106,6 +106,21 @@ class TestModelSemantics:
         bound = PerLinkLatency(spread=3, delays={(0, 1): 9}).bind(engine)
         assert bound.delay(0, 1, 1) == 9
 
+    def test_delay_bound_covers_every_drawn_delay(self):
+        graph = make_topology("kout", 16, seed=2, k=3)
+        engine = SynchronousEngine(graph, _node_factory(), seed=9)
+        nodes = sorted(engine.node_ids)
+        for model in (
+            BoundedJitter(2),
+            PerLinkLatency(spread=3),
+            PerLinkLatency(spread=1, delays={(nodes[0], nodes[1]): 9}),
+        ):
+            bound = model.bind(engine)
+            delays = {
+                bound.delay(a, b, r) for a in nodes for b in nodes for r in (1, 2)
+            }
+            assert max(delays) == model.delay_bound
+
     def test_partition_default_group_is_lower_half(self):
         graph = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
         engine = SynchronousEngine(graph, _node_factory(), seed=0)

@@ -211,10 +211,18 @@ class TestBackendSelection:
 
         monkeypatch.setattr(vk, "np", None)
         assert not vk.vector_available()
-        with pytest.raises(ImportError, match="requires numpy"):
-            SynchronousEngine(
-                {0: {1}, 1: {0}}, _noop_factory, backend="vector"
-            )
+        for backend in ("vector", "fast"):
+            with pytest.raises(ImportError, match=f"'{backend}' engine backend requires numpy"):
+                SynchronousEngine({0: {1}, 1: {0}}, _noop_factory, backend=backend)
+        # The legacy reference path runs without numpy, and the default
+        # choices fall back to it.
+        SynchronousEngine({0: {1}, 1: {0}}, _noop_factory, backend="legacy")
+        assert SynchronousEngine(
+            {0: {1}, 1: {0}}, _noop_factory, fast_path=True
+        ).backend == "legacy"
+        from repro.bench.runner import resolve_backend
+
+        assert resolve_backend(64) == resolve_backend(10**5) == "legacy"
 
 
 def _noop_factory(node_id):
