@@ -12,11 +12,10 @@ That is exactly the traffic shape of a gossip run's final rounds — peak
 pointer volume, almost every delivery teaching nothing — without paying
 for the ramp-up.
 
-Knowledge is injected per backend into the engine's primary
-representation (``_ksets`` / ``_kmasks`` / the packed matrix), with all
-derived counters rebuilt, so the three backends start digest-identical
-and stay digest-identical through the window (asserted by
-``tests/bench/test_steady.py``).  The scheduled nodes do no protocol
+Knowledge is injected through the engine's knowledge store, which
+rebuilds all derived counters, so the three backends start
+digest-identical and stay digest-identical through the window (asserted
+by ``tests/bench/test_steady.py``).  The scheduled nodes do no protocol
 work of their own — ``absorb`` is a no-op and their private ``known``
 views are left at ring size — so a timed window isolates the engine's
 dispatch/screen/learn kernel, like a replay does.
@@ -37,7 +36,6 @@ from ..sim.engine import SynchronousEngine
 from ..sim.messages import Message
 from ..sim.node import ProtocolNode
 from ..sim.rng import derive_seed
-from ..sim.vector_kernel import np
 
 
 @dataclass(frozen=True)
@@ -147,22 +145,6 @@ def laggard_missing(spec: SteadySpec) -> Dict[int, Set[int]]:
     return missing
 
 
-def _group_by_sample(
-    incomplete: Set[int], missing_by_node: Mapping[int, Set[int]]
-) -> Dict[int, Tuple[Set[int], List[int]]]:
-    """Incomplete nodes grouped by the *identity* of their missing set,
-    so shared samples are translated and rasterized once, not per node."""
-    groups: Dict[int, Tuple[Set[int], List[int]]] = {}
-    for node in incomplete:
-        sample = missing_by_node[node]
-        entry = groups.get(id(sample))
-        if entry is None:
-            groups[id(sample)] = (sample, [node])
-        else:
-            entry[1].append(node)
-    return groups
-
-
 def inject_steady_state(
     engine: SynchronousEngine,
     missing_by_node: Mapping[int, Set[int]],
@@ -172,12 +154,12 @@ def inject_steady_state(
     """Overwrite *engine*'s ground truth with near-complete knowledge.
 
     Every node knows the full id space except the listed missing ids;
-    all derived counters (sizes, completeness, alive tallies, sync
-    caches) are rebuilt so the engine is indistinguishable from one that
-    ran its way into this state.  Works on all three backends; the
-    shared-object tricks (one full Python set / one full bitmask for
-    every complete node, one mask per distinct missing sample) keep the
-    cost O(n + distinct samples), not O(n^2).
+    the engine's store rebuilds all derived counters, so the engine is
+    indistinguishable from one that ran its way into this state
+    (:meth:`~repro.sim.store.KnowledgeStore.inject_near_complete`).
+    Works on all three backends.  Nodes sharing one missing-set object
+    form one group, so shared samples are translated once and the cost
+    stays O(n + distinct samples), not O(n^2).
 
     ``sync_sets=False`` skips rebuilding the Python knowledge sets —
     mandatory at large n with many laggards, where materializing one set
@@ -192,78 +174,11 @@ def inject_steady_state(
             "steady-state injection requires enforce_legality=False; the "
             "synthetic senders' node-side views never match ground truth"
         )
-    n = engine.n
-    node_ids = engine.node_ids
-    index = engine._index
-    incomplete = {node for node, ids in missing_by_node.items() if ids}
-    groups = _group_by_sample(incomplete, missing_by_node)
-
-    if sync_sets:
-        full_set = set(node_ids)
-        engine._ksets = {
-            node: (full_set - missing_by_node[node])
-            if node in incomplete
-            else full_set
-            for node in node_ids
-        }
-    elif engine.backend == "legacy":
-        raise ValueError("sync_sets=False is meaningless on the legacy backend")
-    else:
-        engine._ksets = {}
-    engine._ksets_stale = False
-    engine._complete_nodes = n - len(incomplete)
-
-    if engine.backend == "vector":
-        state = engine._vstate
-        full_row = np.full(state.nbytes, 0xFF, dtype=np.uint8)
-        if n & 7:
-            full_row[-1] = (1 << (n & 7)) - 1  # padding bits stay zero
-        state.K[:] = full_row
-        state.sizes[:] = n
-        state.complete[:] = True
-        state.complete_row[:] = full_row
-        for sample, nodes in groups.values():
-            bits = np.fromiter((index[m] for m in sample), dtype=np.intp)
-            cleared = full_row.copy()
-            np.bitwise_and.at(
-                cleared, state.byte_of[bits], ~state.bitval_of[bits]
-            )
-            rows = np.fromiter((index[node] for node in nodes), dtype=np.intp)
-            state.K[rows] = cleared
-            state.sizes[rows] = n - bits.size
-            state.complete[rows] = False
-            np.bitwise_and.at(
-                state.complete_row, state.byte_of[rows], ~state.bitval_of[rows]
-            )
-        engine._vdirty.clear()
-    elif engine.backend == "fast":
-        full_mask = (1 << n) - 1
-        engine._kmasks = kmasks = [full_mask] * n
-        engine._ksizes = ksizes = [n] * n
-        incomplete_rows = bytearray((n + 7) >> 3)
-        for sample, nodes in groups.values():
-            drop = 0
-            for m in sample:
-                drop |= 1 << index[m]  # _pow2 is absent at large n
-            lag_mask = full_mask ^ drop
-            lag_size = n - len(sample)
-            for node in nodes:
-                row = index[node]
-                kmasks[row] = lag_mask
-                ksizes[row] = lag_size
-                incomplete_rows[row >> 3] |= 1 << (row & 7)
-        engine._complete_mask = full_mask ^ int.from_bytes(
-            incomplete_rows, "little"
-        )
-        engine._kcache_masks = list(kmasks)
-    else:  # legacy: the per-id path keeps a known-by counter for weak goals
-        known_by = {node: n for node in node_ids}
-        for sample, nodes in groups.values():
-            for m in sample:
-                known_by[m] -= len(nodes)
-        engine._known_by = known_by
-
-    engine._rebuild_alive_counters()
+    groups: Dict[int, Tuple[Set[int], List[int]]] = {}
+    for node, sample in missing_by_node.items():
+        if sample:
+            groups.setdefault(id(sample), (sample, []))[1].append(node)
+    engine.store.inject_near_complete(groups.values(), keep_sets=sync_sets)
 
 
 def build_steady_engine(

@@ -363,7 +363,7 @@ class LiveNodeRuntime:
                     continue
                 delivered.extend(batches[sender])
             self.transport.ingest(round_no + 1, delivered)
-            for message, _delay in self.transport.deliver(round_no + 1):
+            for message in self.transport.arrivals(round_no + 1):
                 self.protocol.absorb(message)
                 self._inbox.append(message)
             self.context.metrics.close_round(round_no)

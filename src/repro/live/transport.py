@@ -5,16 +5,16 @@ and whether it survives the trip; the engine's round loop is written
 against that contract alone.  :class:`RealTransport` implements the same
 contract for the live host: :meth:`~RealTransport.submit` queues the
 message for the node's socket writer instead of a simulated scheduler,
-and the in-flight buffer behind the inherited
-:meth:`~repro.sim.transport.DeliveryModel.deliver` loop is fed by
-frames arriving off the network (:meth:`~RealTransport.ingest`).
+and the in-flight buffer behind the inherited in-flight filter,
+:meth:`~repro.sim.transport.DeliveryModel.arrivals`, is fed by frames
+arriving off the network (:meth:`~RealTransport.ingest`).
 
 Because the live host runs the classic synchronous abstraction over an
 asynchronous network (round pacing via end-of-round markers), every
 message logically takes exactly one round — ``uniform_delay = 1``, like
 :class:`~repro.sim.transport.Lockstep` — and the delivery-time
 filtering, metrics charging, and drop accounting all come from the
-shared reference loop unmodified.
+engine's own filter unmodified.
 
 :class:`LiveHostContext` is the engine-shaped object the model binds
 to: the slice of :class:`~repro.sim.engine.SynchronousEngine` the
@@ -59,8 +59,8 @@ class RealTransport(DeliveryModel):
     round loop flushes over TCP (:meth:`take_outgoing`).  Inbound: the
     node calls :meth:`ingest` once all of a round's traffic has arrived
     — in canonical order, per-sender batches ascending by sender id — so
-    the inherited :meth:`~repro.sim.transport.DeliveryModel.deliver`
-    loop yields exactly the inbox a lockstep simulator would have built.
+    the inherited :meth:`~repro.sim.transport.DeliveryModel.arrivals`
+    filter returns exactly the inbox a lockstep simulator would have built.
     """
 
     uniform_delay = 1

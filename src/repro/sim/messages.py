@@ -29,11 +29,12 @@ class Message:
         sender: Identifier of the sending machine.
         recipient: Identifier of the receiving machine.
         ids: Machine identifiers carried by this message.  The recipient
-            learns every one of them upon delivery.  Do not change a
-            mutable payload after the send: the legacy and fast
-            backends read it as it is at delivery, while the vector
-            backend decides which deliveries can teach from knowledge
-            as of the start of the delivery batch.
+            learns every one of them upon delivery.  The message keeps
+            what its sender knew when it was built: a ``set`` payload is
+            stored as a ``frozenset`` copy and any other payload that is
+            not already a ``frozenset`` or ``tuple`` as a ``tuple`` copy,
+            so a sender that later changes the collection it passed
+            changes nothing in flight.
         data: O(1)-word bookkeeping payload (may be ``None``).
     """
 
@@ -42,6 +43,12 @@ class Message:
     recipient: int
     ids: Collection[int] = field(default=())
     data: Any = None
+
+    def __post_init__(self) -> None:
+        ids = self.ids
+        if not isinstance(ids, (frozenset, tuple)):
+            frozen = frozenset(ids) if isinstance(ids, set) else tuple(ids)
+            object.__setattr__(self, "ids", frozen)
 
     @property
     def pointer_count(self) -> int:

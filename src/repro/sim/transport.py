@@ -1,29 +1,25 @@
 """Pluggable delivery models: the transport semantics of the round engine.
 
-Historically :class:`~repro.sim.engine.SynchronousEngine` hardwired its
-delivery semantics — lockstep scheduling, bounded jitter, and the
-in-flight buffer were all inlined in the round loop.  This module extracts
-them behind one interface so the engine's loop reduces to *protocol step →
-submit → deliver → absorb* and new delivery semantics become data, not
-engine surgery.
-
-A :class:`DeliveryModel` owns two decisions:
+:class:`~repro.sim.engine.SynchronousEngine` and the live host are
+written against one interface, so new delivery semantics become data,
+not engine surgery.  A :class:`DeliveryModel` owns two decisions:
 
 * **send-time scheduling** — :meth:`DeliveryModel.delay` picks how many
   rounds a message spends in flight (a message submitted in round ``r``
   with delay ``d`` lands in the recipient's inbox for round ``r + d``);
 * **delivery-time filtering** — :meth:`DeliveryModel.drop_reason` may veto
   a due delivery (e.g. a partition window).  Liveness filtering (crashed
-  recipients, dormant joiners) is shared by every model and applied by the
-  delivery loop itself; models only add *link* semantics on top.
+  recipients, dormant joiners) is shared by every model and applied by
+  the one in-flight filter, :meth:`DeliveryModel.arrivals`; models only
+  add *link* semantics on top.
 
 Shipped models:
 
 * :class:`Lockstep` — the classic synchronous model: every message takes
-  exactly one round.  ``uniform_delay == 1`` lets the engine's fast path
-  keep its wholesale-bucket dispatch (the whole round's outbox becomes the
-  next round's delivery bucket in one list move), so extracting the layer
-  costs the common case nothing.
+  exactly one round.  ``uniform_delay == 1`` lets the engine keep its
+  wholesale-bucket dispatch (the whole round's outbox becomes the next
+  round's delivery bucket in one list move), so the layer costs the
+  common case nothing.
 * :class:`BoundedJitter` — messages take ``1 .. 1 + jitter`` rounds,
   uniform and deterministic in the seed.  Bit-identical to the engine's
   historical inline ``jitter=`` knob (same RNG stream, same salt), which
@@ -54,7 +50,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -76,15 +71,15 @@ class DeliveryModel:
     Subclasses override :meth:`delay` (send-time scheduling) and
     optionally :meth:`drop_reason` (delivery-time filtering, with
     ``filters_delivery = True``).  Models with a constant delay should set
-    :attr:`uniform_delay` so the engine's fast path can dispatch whole
-    rounds wholesale.
+    :attr:`uniform_delay` so the engine can dispatch whole rounds
+    wholesale.
 
     Instances are specs until :meth:`bind` attaches them to an engine;
     the bound copy carries the per-run state (in-flight buffer, RNG).
     """
 
-    #: When set, every message takes exactly this many rounds; the fast
-    #: path then skips per-message :meth:`delay` calls entirely.
+    #: When set, every message takes exactly this many rounds; the engine
+    #: then skips per-message :meth:`delay` calls in fault-free runs.
     uniform_delay: Optional[int] = None
     #: Largest delay :meth:`delay` can return, when known and not uniform.
     delay_bound: Optional[int] = None
@@ -142,11 +137,11 @@ class DeliveryModel:
         self._engine.metrics.record_delay(delay)
 
     def submit_bulk(self, sends: List[Message], send_round: int) -> None:
-        """Wholesale dispatch for uniform-delay models (fast path).
+        """Wholesale dispatch for uniform-delay models.
 
         Takes ownership of *sends*: the whole round's outbox becomes (or
         extends) a single delivery bucket with one list operation — the
-        zero-overhead case the lockstep fast path has always had.
+        zero-overhead case the lockstep round loop has always had.
         """
         delay = self.uniform_delay
         deliver_at = send_round + delay
@@ -172,48 +167,49 @@ class DeliveryModel:
         """Messages currently scheduled but not yet due."""
         return sum(len(bucket) for bucket in self._future.values())
 
-    def deliver(self, round_no: int) -> Iterator[Tuple[Message, int]]:
-        """Reference delivery loop: yield ``(message, delay)`` for every
-        message due at *round_no* that survives filtering.
+    def arrivals(self, round_no: int) -> List[Message]:
+        """Pop the messages due at *round_no* and return those that land.
 
-        In-flight losses — crashed recipient, dormant joiner, then any
-        model-specific :meth:`drop_reason` — are charged to the metrics
-        (and the engine's delivery log, when observers want one) here, so
-        the engine's legacy path contains no transport logic at all.  The
-        fast path inlines an equivalent loop for speed; the differential
-        suite holds the two equal.
+        The one in-flight filter, shared by every store and both hosts: a
+        message to a crashed or dormant recipient, or one the model's
+        :meth:`drop_reason` vetoes, is lost and charged to the metrics.
+        When the host keeps a delivery log (observers want one), every due
+        message is logged with its delay and fate.  When nothing can drop
+        a message and no log is kept, the due bucket is handed over as is.
         """
         pending, delays = self.pending(round_no)
         if not pending:
-            return
-        engine = self._engine
-        metrics = engine.metrics
-        faults = engine._faults
-        joins = engine._joins
-        log = engine._delivery_log
+            return []
+        host = self._engine
+        crashed = host._faults.crashed_map
+        joins = host._joins if host._joins.join_rounds else None
+        log = host._delivery_log
         filters = self.filters_delivery
-        uniform = self.uniform_delay or 1
-        for position, message in enumerate(pending):
-            delay = delays[position] if delays is not None else uniform
+        if not crashed and joins is None and not filters and log is None:
+            return pending
+        metrics = host.metrics
+        delay = self.uniform_delay or 1
+        delay_iter = iter(delays) if delays is not None else None
+        kept: List[Message] = []
+        for message in pending:
+            if delay_iter is not None:
+                delay = next(delay_iter)
             recipient = message.recipient
-            if faults.is_crashed(recipient):
+            if crashed and recipient in crashed:
                 reason: Optional[str] = DROP_CRASH
-            elif joins.is_dormant(recipient, round_no):
+            elif joins is not None and joins.is_dormant(recipient, round_no):
                 reason = DROP_DORMANT
+            elif filters:
+                reason = self.drop_reason(message.sender, recipient, round_no)
             else:
-                reason = (
-                    self.drop_reason(message.sender, recipient, round_no)
-                    if filters
-                    else None
-                )
-            if reason is not None:
+                reason = None
+            if reason is None:
+                kept.append(message)
+            else:
                 metrics.record_in_flight_loss(reason)
-                if log is not None:
-                    log.append((message, delay, reason))
-                continue
             if log is not None:
-                log.append((message, delay, None))
-            yield message, delay
+                log.append((message, delay, reason))
+        return kept
 
 
 class Lockstep(DeliveryModel):
@@ -263,7 +259,7 @@ class AdversarialScheduler(DeliveryModel):
     protocols — every invite arrives ``max_delay`` rounds behind the phase
     clock that scheduled it — while random jitter lets a fraction of
     traffic through on time.  Being uniform, it still qualifies for the
-    fast path's wholesale dispatch.
+    engine's wholesale dispatch.
     """
 
     name = "adversarial"

@@ -1,9 +1,9 @@
-"""Bit-packed numpy knowledge state: the ``vector`` engine backend's core.
+"""Bit-packed numpy knowledge state: the packed store (``backend="vector"``).
 
-The dense fast path (:mod:`repro.sim.engine`, ``backend="fast"``) stores
+The mask store (:mod:`repro.sim.mask_store`, ``backend="fast"``) keeps
 each machine's ground-truth knowledge as an arbitrary-precision Python
 integer.  That representation tops out around n = 4096: every mask
-operation allocates a fresh ``n``-bit int, and the round loop performs
+operation allocates a fresh ``n``-bit int, and delivery performs
 several of them *per message* in interpreted code.  This module replaces
 the per-node ints with one bit-packed numpy matrix
 
@@ -29,6 +29,9 @@ delivery then becomes a handful of batched row-wise operations:
 Derived counters (per-row popcounts via ``np.bitwise_count``, the
 complete set as both a boolean vector and a packed row) are maintained
 incrementally from the per-round deltas, so goal predicates stay O(1).
+:class:`VectorState` is itself a
+:class:`~repro.sim.store.KnowledgeStore`: the engine's one round loop
+drives it like the other two stores.
 
 The matrix costs ``n * ceil(n/8)`` bytes — 8 MB at n = 8192, 1.25 GB at
 n = 10^5, 125 GB at n = 10^6 (the last is out of reach for one box with
@@ -44,7 +47,13 @@ it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .errors import EngineStateError
+from .messages import Message
+from .node import ProtocolNode
+from .store import KnowledgeStore
 
 try:  # pragma: no cover - exercised via vector_available() either way
     import numpy as np
@@ -88,12 +97,11 @@ def require_numpy(backend: str = "vector") -> None:
         )
 
 
-class VectorState:
-    """The bit-packed ground-truth knowledge of one simulation run.
+class VectorState(KnowledgeStore):
+    """The packed store: bit-packed ground truth (``backend="vector"``).
 
-    Owns the knowledge matrix and its derived counters; the engine's
-    ``backend="vector"`` round body drives it.  All mutating entry
-    points preserve two invariants the digest and the differential
+    Owns the knowledge matrix and its derived counters.  All mutating
+    entry points preserve two invariants the digest and the differential
     runner rely on:
 
     * padding bits past ``n`` in the last byte of every row are zero
@@ -101,12 +109,17 @@ class VectorState:
       ``np.packbits`` over exactly ``n`` bits);
     * ``sizes``/``complete``/``complete_row`` equal the values a full
       recount would produce (updates are delta-exact, see
-      :meth:`apply_delta`).
+      :meth:`_apply_deltas`).
+
+    The sets behind :attr:`sets` are a lazy cache kept per changed row
+    (``_dirty``); the legality guard probes them, so with enforcement on
+    the first check of a round brings them up to date.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         require_numpy()
-        self.n = n
+        super().__init__(*args, **kwargs)
+        n = self.n
         self.nbytes = (n + 7) >> 3
         self.K = np.zeros((n, self.nbytes), dtype=np.uint8)
         self.sizes = np.zeros(n, dtype=np.int64)
@@ -121,16 +134,21 @@ class VectorState:
         ).astype(np.uint8)
         self._scratch_bits = np.zeros(self.nbytes * 8, dtype=bool)
         self._chunk_rows = max(1, _CHUNK_BYTES // max(1, self.nbytes))
+        index = self.index
+        for node in self.node_ids:
+            self.seed_row(index[node], [index[target] for target in self._sets[node]])
+        self.complete_count = int(self.complete.sum())
+        # ``{row_index: row value at the last set sync}``, kept sparse so
+        # rows that never change (the steady-state common case) cost
+        # nothing.
+        self._dirty: Dict[int, "np.ndarray"] = {}
+        self.rebuild_alive()
 
     # -- construction helpers -----------------------------------------------------
 
     def seed_row(self, row_index: int, dense_ids: Collection[int]) -> None:
-        """Set the initial bits of one row and its derived counters.
-
-        Only called at engine construction (and by the bench-only state
-        injection in :mod:`repro.bench.steady`); *dense_ids* must be
-        duplicate-free dense indices including the node's own.
-        """
+        """Set the initial bits of one row and its derived counters;
+        *dense_ids* must be duplicate-free and include the row's own."""
         row = self.K[row_index]
         for bit in dense_ids:
             row[bit >> 3] |= 1 << (bit & 7)
@@ -162,7 +180,36 @@ class VectorState:
             packed = np.zeros(self.nbytes, dtype=np.uint8)
         return packed
 
-    # -- the batched screens ------------------------------------------------------
+    def _pack_message(
+        self,
+        ids: Collection[int],
+        sender_index: int,
+        cache: Dict[int, Tuple[Collection[int], "np.ndarray"]],
+    ) -> "np.ndarray":
+        """Packed row of a message's carried ids plus its sender bit.
+
+        Duplicates collapse (bits are idempotent) and, with legality
+        enforcement off, ids naming no simulated machine are skipped.
+        *cache* memoizes the ids-only row by the identity of the payload
+        within one delivery batch: protocols routinely send one snapshot
+        to many recipients, making the O(|ids|) translation a
+        once-per-batch cost.  The cache holds each payload, so its
+        ``id()`` stays valid while the batch lasts.
+        """
+        entry = cache.get(id(ids))
+        if entry is None:
+            get = self.index.get
+            packed = self.pack_indices(
+                [bit for bit in map(get, ids) if bit is not None]
+            )
+            cache[id(ids)] = (ids, packed)
+        else:
+            packed = entry[1]
+        with_sender = packed.copy()
+        with_sender[self.byte_of[sender_index]] |= self.bitval_of[sender_index]
+        return with_sender
+
+    # -- the batched screen -------------------------------------------------------
 
     def screen(
         self, senders: "np.ndarray", recipients: "np.ndarray"
@@ -204,10 +251,9 @@ class VectorState:
         *packed_ids* is the message's carried-identifier row **with the
         sender's bit already set** (the sender is always learned).  The
         result is ``(ids | bit(sender)) & (K[sender] | bit(sender)) &
-        ~K[recipient]`` — intersecting with the sender's knowledge
-        mirrors the fast path's candidate-mask learning rule, under
-        which identifiers the sender does not know are never taught
-        (the documented ``enforce_legality=False`` contract; with
+        ~K[recipient]`` — the mask store's candidate-mask learning rule,
+        under which identifiers the sender does not know are never
+        taught (the documented ``enforce_legality=False`` contract; with
         enforcement on such traffic already raised)."""
         sender_row = self.K[sender_index].copy()
         sender_row[self.byte_of[sender_index]] |= self.bitval_of[sender_index]
@@ -218,114 +264,180 @@ class VectorState:
             return None
         return sender_row
 
-    # -- learning -----------------------------------------------------------------
+    # -- the store operations -----------------------------------------------------
 
-    def or_into(self, row_index: int, add: "np.ndarray") -> None:
-        self.K[row_index] |= add
+    def check(self, node: int, outbox: Sequence[Message]) -> None:
+        """Whole-outbox legality guard: one C-level superset probe per
+        message against the sender's knowledge set.  On any suspected
+        violation the reference scan re-runs to raise the exact
+        :class:`~repro.sim.errors.ProtocolViolation`."""
+        known = self.sets[node]
+        for message in outbox:
+            if message.recipient not in known or not known.issuperset(message.ids):
+                self.scan(node, outbox)
+                raise EngineStateError(  # pragma: no cover - defensive
+                    f"legality fast path flagged node {node} but the "
+                    "reference scan found no violation"
+                )
 
-    def apply_delta(self, row_index: int, old_row: "np.ndarray") -> int:
-        """Fold one changed row's delta into the derived counters.
+    def learn(
+        self, messages: Sequence[Message], nodes: Mapping[int, ProtocolNode]
+    ) -> Dict[int, List[Message]]:
+        """One boolean gather and one chunked matrix screen decide which
+        deliveries can teach; only those pay the packbits translation and
+        a row ``OR``.
 
-        Returns the number of newly-learned machines.  ``old_row`` is
-        the row's value at the start of the round; knowledge is
-        monotone, so ``new & ~old`` is exactly what the round taught."""
-        delta = self.K[row_index] & ~old_row
-        gained = int(_popcount_rows(delta))
-        if gained == 0:
-            return 0
-        size = int(self.sizes[row_index]) + gained
-        self.sizes[row_index] = size
-        if size == self.n:
-            self.mark_complete(row_index)
-        return gained
+        Per-message learning follows the mask store's candidate rule
+        against the *current* rows, applied in delivery order, so the two
+        stay digest-identical round by round.  The screen itself reads
+        the rows as of the start of the batch, which is exact because
+        knowledge is monotone and a message carries what its sender knew
+        when it was built."""
+        inboxes: Dict[int, List[Message]] = {}
+        if not messages:
+            return inboxes
+        index = self.index
+        count = len(messages)
+        senders = np.fromiter(
+            (index[message.sender] for message in messages), dtype=np.intp, count=count
+        )
+        recipients = np.fromiter(
+            (index[message.recipient] for message in messages), dtype=np.intp, count=count
+        )
+        teaches = self.screen(senders, recipients).tolist()
+        sender_list = senders.tolist()
+        recipient_list = recipients.tolist()
+        pack_cache: Dict[int, Tuple[Collection[int], "np.ndarray"]] = {}
+        # ``{row_index: pre-batch row copy}`` for the delta pass.
+        old_rows: Dict[int, "np.ndarray"] = {}
+        for pos, message in enumerate(messages):
+            recipient = message.recipient
+            bucket = inboxes.get(recipient)
+            if bucket is None:
+                inboxes[recipient] = [message]
+            else:
+                bucket.append(message)
+            if teaches[pos]:
+                si = sender_list[pos]
+                ri = recipient_list[pos]
+                add = self.message_add(si, ri, self._pack_message(message.ids, si, pack_cache))
+                if add is not None:
+                    if ri not in old_rows:
+                        old_rows[ri] = self.K[ri].copy()
+                    self.K[ri] |= add
+            nodes[recipient].absorb(message)
+        if old_rows:
+            self._apply_deltas(old_rows)
+        return inboxes
 
-    def delta_alive_gain(
-        self, row_index: int, old_row: "np.ndarray", alive_row: "np.ndarray"
-    ) -> int:
-        """Newly-learned machines that are currently alive."""
-        delta = (self.K[row_index] & ~old_row) & alive_row
-        return int(_popcount_rows(delta))
+    def _apply_deltas(self, old_rows: Mapping[int, "np.ndarray"]) -> None:
+        """Fold changed rows into the derived counters.
 
-    # -- whole-matrix queries -----------------------------------------------------
+        *old_rows* maps each changed row index to a copy of its earlier
+        value; knowledge is monotone, so ``new & ~old`` is exactly what
+        was learned since, from which every counter follows."""
+        node_ids = self.node_ids
+        alive = self.alive
+        alive_row = self._alive_row
+        dirty = self._dirty
+        for row_index, old_row in old_rows.items():
+            delta = self.K[row_index] & ~old_row
+            gained = int(_popcount_rows(delta))
+            if gained == 0:
+                continue
+            size = int(self.sizes[row_index]) + gained
+            self.sizes[row_index] = size
+            if size == self.n:
+                # A row that just gained bits cannot have been complete
+                # before, so reaching completeness here is a transition.
+                self.mark_complete(row_index)
+                self.complete_count += 1
+            self.stale = True
+            if row_index not in dirty:
+                dirty[row_index] = old_row
+            node = node_ids[row_index]
+            if node in alive:
+                if alive_row is not None:
+                    gained = int(_popcount_rows(delta & alive_row))
+                if gained:
+                    self._credit_alive(node, gained)
 
-    def masked_popcounts(
-        self, row_indices: "np.ndarray", mask_row: "np.ndarray"
-    ) -> "np.ndarray":
-        """``popcount(K[i] & mask_row)`` for each requested row, chunked."""
-        out = np.zeros(len(row_indices), dtype=np.int64)
-        chunk = self._chunk_rows
-        for start in range(0, len(row_indices), chunk):
-            sel = row_indices[start : start + chunk]
-            out[start : start + len(sel)] = _popcount_rows(self.K[sel] & mask_row)
-        return out
+    def _sync_sets(self) -> None:
+        node_ids = self.node_ids
+        node_id = node_ids.__getitem__
+        for idx, cached_row in self._dirty.items():
+            fresh = self.K[idx] & ~cached_row
+            bits = np.nonzero(np.unpackbits(fresh, bitorder="little")[: self.n])[0]
+            self._sets[node_ids[idx]].update(map(node_id, bits.tolist()))
+        self._dirty.clear()
 
-    def common_knowledge_row(self) -> "np.ndarray":
-        """AND of every row: bit ``j`` set iff *everyone* knows ``j``.
+    def digest(self) -> str:
+        # The matrix *is* the canonical byte string: C-contiguous packed
+        # rows in dense (sorted-id) order, hashed through the buffer
+        # protocol without materializing intermediate bytes.
+        return hashlib.sha256(self.K).hexdigest()
 
-        O(n * nbytes) — only ever evaluated once a complete node exists
-        (the weak-goal early-out), mirroring the fast path's scan."""
-        return np.bitwise_and.reduce(self.K, axis=0)
-
-    def first_set_bit(self, row: "np.ndarray") -> Optional[int]:
-        """Lowest set bit index of a packed row, or ``None``."""
-        nonzero = np.nonzero(row)[0]
+    def weak_leader(self) -> Optional[int]:
+        # Bit j of the AND of all rows survives iff everyone knows j.
+        common = np.bitwise_and.reduce(self.K, axis=0)
+        np.bitwise_and(common, self.complete_row, out=common)
+        nonzero = np.nonzero(common)[0]
         if nonzero.size == 0:
             return None
         byte = int(nonzero[0])
-        value = int(row[byte])
-        return (byte << 3) + (value & -value).bit_length() - 1
+        value = int(common[byte])
+        return self.node_ids[(byte << 3) + (value & -value).bit_length() - 1]
 
-    def row_new_bits(
-        self, row_index: int, cached_row: "np.ndarray"
-    ) -> "np.ndarray":
-        """Dense indices set in the row but not in *cached_row* (for the
-        lazy knowledge-set synchronization)."""
-        fresh = self.K[row_index] & ~cached_row
-        return np.nonzero(
-            np.unpackbits(fresh, bitorder="little")[: self.n]
-        )[0]
+    def rebuild_alive(self) -> None:
+        alive = self.alive
+        node_ids = self.node_ids
+        if len(alive) == self.n:
+            # Everyone alive: coverage is plain knowledge size, and the
+            # delta pass reuses its popcounts (``_alive_row is None``).
+            self._alive_row = None
+            self.alive_known = dict(zip(node_ids, self.sizes.tolist()))
+        else:
+            dense_alive = sorted(self.index[node] for node in alive)
+            self._alive_row = alive_row = self.pack_indices(dense_alive)
+            counts = np.zeros(len(dense_alive), dtype=np.int64)
+            rows = np.asarray(dense_alive, dtype=np.intp)
+            chunk = self._chunk_rows
+            for start in range(0, len(rows), chunk):
+                sel = rows[start : start + chunk]
+                counts[start : start + len(sel)] = _popcount_rows(self.K[sel] & alive_row)
+            self.alive_known = {
+                node_ids[idx]: count for idx, count in zip(dense_alive, counts.tolist())
+            }
+        self._count_alive_complete()
 
-    def digest_view(self) -> "np.ndarray":
-        """The matrix itself — C-contiguous, so hashlib consumes it
-        through the buffer protocol without a byte-string round trip."""
-        return self.K
+    def inject(self, node: int, ids: Collection[int]) -> None:
+        index = self.index
+        row_index = index[node]
+        old_row = self.K[row_index].copy()
+        self.K[row_index] |= self.pack_indices([index[target] for target in ids])
+        self._apply_deltas({row_index: old_row})
 
-
-def pack_message_ids(
-    ids: Collection[int],
-    sender: int,
-    index: Mapping[int, int],
-    state: VectorState,
-    cache: Dict[int, Tuple[Collection[int], "np.ndarray"]],
-) -> "np.ndarray":
-    """Packed row of a message's carried ids plus its sender bit.
-
-    Tolerates dirty protocol input exactly like the fast path's
-    ``_mask_from_message_ids``: duplicates collapse (bits are
-    idempotent) and, with legality enforcement off, identifiers naming
-    no simulated machine are silently skipped.
-
-    *cache* memoizes the ids-only packed row by the identity of the
-    carried collection within one delivery batch — protocols routinely
-    send one snapshot to many recipients (and the synthetic steady-state
-    kernel sends one shared frozenset to everyone), making the O(|ids|)
-    translation a once-per-round cost instead of once-per-message.  The
-    cache holds a reference to the collection, so ``id()`` stays valid
-    for its lifetime; callers drop the cache when the batch ends.
-    """
-    key = id(ids)
-    entry = cache.get(key)
-    if entry is None:
-        dense: List[int] = []
-        get = index.get
-        for target in ids:
-            bit = get(target)
-            if bit is not None:
-                dense.append(bit)
-        packed = state.pack_indices(dense)
-        cache[key] = (ids, packed)
-    else:
-        packed = entry[1]
-    with_sender = packed.copy()
-    with_sender[state.byte_of[sender]] |= state.bitval_of[sender]
-    return with_sender
+    def _load_near_complete(
+        self, groups: List[Tuple[Collection[int], Sequence[int]]]
+    ) -> None:
+        n = self.n
+        index = self.index
+        full_row = np.full(self.nbytes, 0xFF, dtype=np.uint8)
+        if n & 7:
+            full_row[-1] = (1 << (n & 7)) - 1  # padding bits stay zero
+        self.K[:] = full_row
+        self.sizes[:] = n
+        self.complete[:] = True
+        self.complete_row[:] = full_row
+        for ids, nodes in groups:
+            bits = np.fromiter((index[m] for m in ids), dtype=np.intp)
+            cleared = full_row.copy()
+            np.bitwise_and.at(cleared, self.byte_of[bits], ~self.bitval_of[bits])
+            rows = np.fromiter((index[node] for node in nodes), dtype=np.intp)
+            self.K[rows] = cleared
+            self.sizes[rows] = n - bits.size
+            self.complete[rows] = False
+            np.bitwise_and.at(
+                self.complete_row, self.byte_of[rows], ~self.bitval_of[rows]
+            )
+        self._dirty.clear()

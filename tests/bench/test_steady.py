@@ -61,7 +61,7 @@ def test_injection_matches_counters():
         complete = sum(
             1 for known in engine.knowledge.values() if len(known) == spec.n
         )
-        assert engine._complete_nodes == complete
+        assert engine.store.complete_count == complete
         assert complete == spec.n - spec.laggards
         assert engine.weak_leader() == 0  # id 0 is never in a missing sample
 
@@ -70,10 +70,10 @@ def test_laggards_learn_during_window():
     spec = SPECS["full-payload"]
     for backend in _backends():
         engine, _ = build_steady_engine(spec, backend)
-        before = engine._complete_nodes
+        before = engine.store.complete_count
         for _ in range(spec.window):
             engine.step()
-        assert engine._complete_nodes > before
+        assert engine.store.complete_count > before
 
 
 def test_window_pointer_count_matches_metrics():

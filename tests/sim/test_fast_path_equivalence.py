@@ -569,8 +569,8 @@ def test_non_integer_ids_raise_protocol_violation(space, make_bad, view, large):
 
 class _LiveKnownNode(ProtocolNode):
     """Sends its own live ``known`` set, not a copy, to every machine it
-    knows: the payload grows while the round's deliveries run, and each
-    delivery must teach what the set holds at that moment."""
+    knows.  The set grows while the round's deliveries run; the message
+    must carry what the sender knew when it built it."""
 
     def on_round(self, round_no, inbox, rng):
         for peer in sorted(self.known - {self.node_id}):
@@ -578,16 +578,14 @@ class _LiveKnownNode(ProtocolNode):
 
 
 @pytest.mark.parametrize("space", ["dense", "random"])
-def test_mutable_payload_is_read_at_delivery(space):
-    # Legacy and fast only: the vector backend screens a round's
-    # deliveries against knowledge as of the batch start, so it does not
-    # follow a payload that grows mid-batch (see the Message docstring).
+def test_mutable_payload_is_frozen_when_the_message_is_built(space):
     # At n = 96 the first rounds' senders miss too many machines for the
-    # guard's set-probe route, so their payloads are converted to masks.
+    # mask guard's set-probe route, so their payloads are converted to
+    # masks; the packed store screens whole delivery batches.
     graph = make_topology("kout", 96, seed=3, k=2, id_space=space)
     engines = [
         SynchronousEngine(graph, _LiveKnownNode, seed=1, backend=backend)
-        for backend in ("legacy", "fast")
+        for backend in ("legacy", "fast", "vector")
     ]
     for _ in range(3):
         digests = set()
@@ -596,3 +594,15 @@ def test_mutable_payload_is_read_at_delivery(space):
             digests.add(engine.knowledge_digest())
         assert len(digests) == 1
     assert dict(engines[0].knowledge) == dict(engines[1].knowledge)
+    assert dict(engines[0].knowledge) == dict(engines[2].knowledge)
+
+
+@pytest.mark.parametrize("backend", ["legacy", "fast", "vector"])
+def test_an_id_crosses_one_hop_per_round(backend):
+    # Round 1 delivers 0 -> 1 before 1 -> 2.  Node 1 sent its known set
+    # {1, 2} before it learned 0, so node 2 must not learn 0 in round 1.
+    graph = {0: {1}, 1: {2}, 2: set()}
+    engine = SynchronousEngine(graph, _LiveKnownNode, seed=1, backend=backend)
+    engine.step()
+    assert engine.knowledge[2] == {1, 2}
+    assert engine.nodes[2].known == {1, 2}
