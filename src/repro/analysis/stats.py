@@ -2,7 +2,9 @@
 
 Randomized algorithms are run over several seeds; the tables report the
 median (robust to the occasional unlucky coin sequence) together with a
-Student-t confidence interval on the mean, computed with scipy.
+Student-t confidence interval on the mean, computed with scipy.  scipy is
+imported only when an interval has non-zero width, so importing this
+module (and :mod:`repro`) does not load it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 import statistics
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
-
-from scipy import stats as scipy_stats
 
 from ..sim.metrics import RunResult
 
@@ -49,6 +49,8 @@ def aggregate(values: Sequence[float], confidence: float = 0.95) -> Aggregate:
         stdev = statistics.stdev(data)
         sem = stdev / math.sqrt(len(data))
         if sem > 0:
+            from scipy import stats as scipy_stats
+
             margin = scipy_stats.t.ppf((1 + confidence) / 2, df=len(data) - 1) * sem
         else:
             margin = 0.0

@@ -7,17 +7,20 @@ Formats:
 * **JSON** — ``{"nodes": [...], "edges": [[u, v], ...]}`` with sorted,
   deterministic output (diffs cleanly).
 * **networkx** — conversion to/from ``networkx.DiGraph`` for users who
-  want its algorithm zoo on the side.
+  want its algorithm zoo on the side.  networkx is a dev extra, imported
+  only inside :func:`to_networkx`, so the rest of the package works
+  without it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Set
-
-import networkx as nx
+from typing import IO, TYPE_CHECKING, Dict, Set
 
 from .knowledge import KnowledgeGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def to_edge_list(graph: KnowledgeGraph, stream: IO[str]) -> int:
@@ -88,6 +91,8 @@ def from_json(payload: str) -> KnowledgeGraph:
 
 def to_networkx(graph: KnowledgeGraph) -> "nx.DiGraph":
     """Convert to a ``networkx.DiGraph``."""
+    import networkx as nx
+
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.node_ids)
     for node in graph.node_ids:

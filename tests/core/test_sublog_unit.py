@@ -128,6 +128,18 @@ class TestAssignHandling:
         assert not [m for m in outbox if m.kind == "invite"]
 
 
+class TestCompletionBroadcast:
+    def test_roster_broadcast_ships_sorted_tuples_without_the_recipient(self):
+        node = make_node(knows=(2, 5, 9))
+        node.roster = {1, 2, 5, 9}
+        node.pool = set()
+        outbox = deliver(node, round_for(STEP_ASSIGN))
+        rosters = [m for m in outbox if m.kind == "roster"]
+        assert [m.recipient for m in rosters] == [2, 5, 9]
+        assert [m.ids for m in rosters] == [(1, 5, 9), (1, 2, 9), (1, 2, 5)]
+        assert all(type(m.ids) is tuple for m in rosters)
+
+
 class TestInviteFlow:
     def test_member_forwards_invites_to_leader(self):
         node = make_node()

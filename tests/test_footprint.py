@@ -1,0 +1,86 @@
+"""Import footprint: the package loads neither scipy nor networkx.
+
+scipy serves only the t-quantile of a confidence interval
+(:func:`repro.analysis.stats.aggregate`) and networkx only the two
+converters in :mod:`repro.graphs.io`, so both are imported inside the
+functions that use them.  Each case runs in a fresh interpreter, because
+this test process has long since imported both.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Makes any later ``import scipy`` / ``import networkx`` raise
+#: ``ModuleNotFoundError``, as on an install without them.
+BLOCK_OPTIONAL = 'import sys\nsys.modules["scipy"] = sys.modules["networkx"] = None\n'
+
+
+def _run(code: str, block_optional: bool = False) -> str:
+    """Run *code* in a fresh interpreter; assert it exits 0; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    prelude = BLOCK_OPTIONAL if block_optional else ""
+    process = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code)],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert process.returncode == 0, process.stdout + process.stderr
+    return process.stdout
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    out = _run(
+        """
+        import sys
+        import repro, repro.cli, repro.live.cluster
+        print(sorted(m for m in ("scipy", "networkx") if m in sys.modules))
+        """
+    )
+    assert out.strip() == "[]"
+
+
+def test_discovery_runs_without_scipy_and_networkx():
+    out = _run(
+        """
+        import repro
+        result = repro.discover(repro.random_k_out(64, seed=1, k=3), "sublog", seed=1)
+        print(result.completed)
+        """,
+        block_optional=True,
+    )
+    assert out.strip() == "True"
+
+
+def test_single_sample_aggregate_needs_no_scipy():
+    out = _run(
+        """
+        from repro.analysis.stats import aggregate
+        summary = aggregate([3.0])
+        print(summary.ci_low, summary.ci_high)
+        """,
+        block_optional=True,
+    )
+    assert out.split() == ["3.0", "3.0"]
+
+
+def test_cli_run_without_scipy_and_networkx():
+    out = _run(
+        """
+        import runpy
+        sys.argv = ["repro", "run", "--algorithm", "sublog", "--n", "64"]
+        runpy.run_module("repro", run_name="__main__")
+        """,
+        block_optional=True,
+    )
+    assert "completed : True" in out
