@@ -7,10 +7,10 @@ Runs ``perfbench/run.py`` at each workload's real size, for 10 s each::
 
 Peak RSS repeats to within about 1 MB from run to run, unlike the
 timings, so a shared CI runner can gate it.  The ceilings sit well above
-the measured peaks (about 358 and 51 MB, docs/PERF.md §10) and well below
-the 658 and 128 MB read while sublog's completion broadcast built one
-frozenset per member and ``import repro`` loaded scipy and networkx.
-Exit 1 on any breach.
+the measured peaks (about 97 and 51 MB, docs/PERF.md §10) and well below
+the 358 and 128 MB read while every protocol node kept its own set of
+what it knew and ``import repro`` loaded scipy and networkx.  Exit 1 on
+any breach.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Workload name -> largest acceptable ``peak_rss_mb``.
-CEILINGS_MB = {"sim-sublog-enforced": 450.0, "live-sublog": 80.0}
+CEILINGS_MB = {"sim-sublog-enforced": 150.0, "live-sublog": 80.0}
 
 
 def measure(workload: str) -> subprocess.CompletedProcess:

@@ -216,9 +216,7 @@ def synthetic_case(name: str, n: int) -> Dict[str, object]:
     }
     window_pointers = None
     for backend in backends:
-        engine, window_pointers = build_steady_engine(
-            spec, backend, sync_sets=False
-        )
+        engine, window_pointers = build_steady_engine(spec, backend)
         started = time.perf_counter()
         for _ in range(spec.window):
             engine.step()

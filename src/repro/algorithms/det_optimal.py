@@ -10,7 +10,7 @@ on the smallest known identifier; no coin flips anywhere, so all three
 engine backends and the live runtime are digest-identical by
 construction) and **aggregate-then-broadcast** (one gated dissemination
 wave instead of re-flooding on every change) — inside the repository's
-clean ``run_round``/``learn`` message-passing model.
+clean ``run_round`` message-passing model.
 
 Roles are emergent and monotone.  Knowledge only grows, so ``min(known)``
 only decreases: a machine that once observes a smaller identifier is a
@@ -93,7 +93,8 @@ class DetOptimalNode(DiscoveryNode):
     def on_round(
         self, round_no: int, inbox: Sequence[Message], rng: random.Random
     ) -> List[Message]:
-        root = min(self.known)
+        peers = self.sorted_peers()
+        root = min(self.node_id, peers[0]) if peers else self.node_id
         if root != self.node_id and root != self._report_root:
             # Roots strictly decrease; bookkeeping for the old root is
             # permanently dead, so replace rather than accumulate.
@@ -122,7 +123,7 @@ class DetOptimalNode(DiscoveryNode):
         return outbox
 
     def _member_round(self, root: int) -> List[Message]:
-        pending = self.known - self._reported - {self.node_id, root}
+        pending = set(self.sorted_peers()).difference(self._reported, (root,))
         if not pending and self._announced:
             return []
         self._reported.update(pending)

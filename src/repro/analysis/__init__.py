@@ -32,7 +32,6 @@ from .invariants import (
     MonotonicityObserver,
     closure_deficit,
     is_knowledge_closed,
-    verify_view_consistency,
     weak_closure_witnesses,
 )
 from .stats import Aggregate, aggregate, aggregate_results, completion_rate, group_by
@@ -68,6 +67,5 @@ __all__ = [
     "strong_discovery_pointer_bound",
     "sublog_phase_bound",
     "swamping_round_bound",
-    "verify_view_consistency",
     "weak_closure_witnesses",
 ]

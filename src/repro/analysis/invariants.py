@@ -1,6 +1,6 @@
 """Runtime invariant checkers.
 
-Three invariants tie the simulator to the theory (DESIGN.md section 1):
+Two invariants tie the simulator to the theory (DESIGN.md section 1):
 
 * **Ball containment** — for every algorithm, after t rounds a machine can
   know only machines within undirected distance 2^t of it in the initial
@@ -8,8 +8,6 @@ Three invariants tie the simulator to the theory (DESIGN.md section 1):
   runtime simultaneously validates the simulator (no illegal channel
   exists) and every algorithm (no cheating).
 * **Knowledge monotonicity** — knowledge sets never shrink.
-* **View consistency** — each protocol node's private view of its
-  knowledge equals the engine's ground truth.
 
 The checkers are observers; attach them via ``discover(observers=[...])``.
 They record violations and can raise immediately (``strict=True``).
@@ -204,24 +202,3 @@ class MonotonicityObserver(Observer):
 
     def extra(self) -> Dict[str, Any]:
         return {"monotonicity_violations": list(self.violations)}
-
-
-def verify_view_consistency(engine: "SynchronousEngine") -> Optional[str]:
-    """Compare each live node's private view with the ground truth.
-
-    Returns ``None`` when consistent, else a description of the first
-    mismatch.  Call after :meth:`SynchronousEngine.run` returns.
-    """
-    for node_id in engine.node_ids:
-        if node_id in engine.crashed_nodes:
-            continue
-        protocol_view = engine.nodes[node_id].known
-        ground_truth = engine.knowledge[node_id]
-        if protocol_view != ground_truth:
-            missing = ground_truth - protocol_view
-            extra = protocol_view - ground_truth
-            return (
-                f"node {node_id}: view differs from ground truth "
-                f"(missing {sorted(missing)[:5]}, extra {sorted(extra)[:5]})"
-            )
-    return None

@@ -158,19 +158,16 @@ def record_run(
 
 
 class ReplayNode(ProtocolNode):
-    """A node that re-emits a recorded schedule and learns nothing.
+    """A node that re-emits a recorded schedule.
 
-    ``absorb`` is a no-op and ``on_round`` is one dict probe plus a list
-    extend, so a replayed round's cost is almost entirely engine-side.
+    ``on_round`` is one dict probe plus a list extend, so a replayed
+    round's cost is almost entirely engine-side.
     Subclassing binds the schedule and round offset as class attributes —
     the engine's factory protocol only passes a node id.
     """
 
     _schedule: Schedule = {}
     _offset: int = 0
-
-    def absorb(self, message: Message) -> None:
-        pass
 
     def on_round(
         self, round_no: int, inbox: Sequence[Message], rng: random.Random

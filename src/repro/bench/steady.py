@@ -16,14 +16,13 @@ Knowledge is injected through the engine's knowledge store, which
 rebuilds all derived counters, so the three backends start
 digest-identical and stay digest-identical through the window (asserted
 by ``tests/bench/test_steady.py``).  The scheduled nodes do no protocol
-work of their own — ``absorb`` is a no-op and their private ``known``
-views are left at ring size — so a timed window isolates the engine's
-dispatch/screen/learn kernel, like a replay does.
+work of their own — they never read their rows — so a timed window
+isolates the engine's dispatch/screen/learn kernel, like a replay does.
 
-Injection bypasses the engine's constructor invariants on purpose and is
-only sound with ``enforce_legality=False`` (the synthetic senders
-"know" the whole id space only in ground truth, not in their node-side
-views the legality screen would consult after a sync).
+Injection bypasses the engine's constructor invariants on purpose: it
+writes knowledge no delivery carried, outside the model that legality
+enforcement holds protocols to, so it requires
+``enforce_legality=False``.
 """
 
 from __future__ import annotations
@@ -86,13 +85,10 @@ class SteadySpec:
 
 
 class SteadyNode(ProtocolNode):
-    """A scheduled sender that learns nothing and keeps no state.
+    """A scheduled sender that keeps no state.
 
     Subclassing binds the schedule as class attributes (the engine's
-    factory protocol only passes a node id).  ``absorb`` is a no-op so
-    delivered payloads don't drag n-sized updates through every
-    recipient's node-side ``known`` set — ground truth lives in the
-    engine, which is the thing being measured.
+    factory protocol only passes a node id).
     """
 
     _n: int = 0
@@ -100,9 +96,6 @@ class SteadyNode(ProtocolNode):
     _first_laggard: int = 0
     _payloads: Dict[int, FrozenSet[int]] = {}
     _hops: Dict[int, int] = {}
-
-    def absorb(self, message: Message) -> None:
-        pass
 
     def on_round(self, round_no: int, inbox, rng) -> Optional[List[Message]]:
         payload = self._payloads.get(round_no)
@@ -148,8 +141,6 @@ def laggard_missing(spec: SteadySpec) -> Dict[int, Set[int]]:
 def inject_steady_state(
     engine: SynchronousEngine,
     missing_by_node: Mapping[int, Set[int]],
-    *,
-    sync_sets: bool = True,
 ) -> None:
     """Overwrite *engine*'s ground truth with near-complete knowledge.
 
@@ -158,38 +149,28 @@ def inject_steady_state(
     indistinguishable from one that ran its way into this state
     (:meth:`~repro.sim.store.KnowledgeStore.inject_near_complete`).
     Works on all three backends.  Nodes sharing one missing-set object
-    form one group, so shared samples are translated once and the cost
-    stays O(n + distinct samples), not O(n^2).
-
-    ``sync_sets=False`` skips rebuilding the Python knowledge sets —
-    mandatory at large n with many laggards, where materializing one set
-    per laggard would dwarf the packed matrix itself.  The engine's
-    ``knowledge`` property is then *poisoned* (emptied, not left subtly
-    stale); digests, metrics, and goal predicates — everything the
-    benchmark kernels read — stay exact.  Only the fast and vector
-    backends support it (the legacy path computes *on* the sets).
+    form one group, so on the fast and vector backends shared samples
+    are translated once and the cost stays O(n + distinct samples), not
+    O(n^2); the legacy backend fills one set per node.
     """
     if engine.enforce_legality:
         raise ValueError(
-            "steady-state injection requires enforce_legality=False; the "
-            "synthetic senders' node-side views never match ground truth"
+            "steady-state injection requires enforce_legality=False; it "
+            "writes knowledge that no delivery carried"
         )
     groups: Dict[int, Tuple[Set[int], List[int]]] = {}
     for node, sample in missing_by_node.items():
         if sample:
             groups.setdefault(id(sample), (sample, []))[1].append(node)
-    engine.store.inject_near_complete(groups.values(), keep_sets=sync_sets)
+    engine.store.inject_near_complete(groups.values())
 
 
-def build_steady_engine(
-    spec: SteadySpec, backend: str, *, sync_sets: bool = True
-) -> Tuple[SynchronousEngine, int]:
+def build_steady_engine(spec: SteadySpec, backend: str) -> Tuple[SynchronousEngine, int]:
     """Build an injected engine plus the window's total pointer count.
 
     Step the engine ``spec.window`` times to execute the workload; the
     returned pointer count is what the engine's metrics will report for
     those rounds (useful for ns/pointer without reading metrics early).
-    Pass ``sync_sets=False`` at large n (see :func:`inject_steady_state`).
     """
     n = spec.n
     first_laggard = n - min(spec.laggards, max(0, n - 4))
@@ -239,7 +220,7 @@ def build_steady_engine(
         backend=backend,
         algorithm_name=f"steady:{spec.n}",
     )
-    inject_steady_state(engine, laggard_missing(spec), sync_sets=sync_sets)
+    inject_steady_state(engine, laggard_missing(spec))
     return engine, window_pointers
 
 

@@ -140,10 +140,12 @@ class SubLogNode(DiscoveryNode):
         self._contacts = set(contacts)
 
     def absorb(self, message: Message) -> None:
-        """Learn from a message; track invite-learned ids as reportable.
+        """Track the ids an invite teaches as reportable.
 
-        Only ``invite`` messages teach a member ids its leader might not
-        have (the inviter and its leader); everything else flows through
+        The host calls this before it teaches the message, so
+        ``self.known`` still holds the knowledge from before it.  Only
+        ``invite`` messages teach a member ids its leader might not have
+        (the inviter and its leader); everything else flows through
         leader-aware paths, so tracking it would only duplicate pointers.
         """
         if message.kind == "invite":
@@ -151,7 +153,6 @@ class SubLogNode(DiscoveryNode):
                 if learned not in self.known and learned != self.node_id:
                     self._unreported.add(learned)
                     self._contacts.add(learned)
-        super().absorb(message)
 
     # -- round dispatch ------------------------------------------------------------------
 

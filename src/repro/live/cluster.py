@@ -110,9 +110,10 @@ class LiveCluster:
         self.nodes: Dict[int, LiveNodeRuntime] = {}
         for node_id in self.graph.node_ids:
             protocol = factory(node_id)
-            protocol.bind(
-                self.graph.out(node_id), derive_rng(spec.seed, "node", node_id)
-            )
+            # The node's row: a plain set its runtime writes.
+            known = set(self.graph.out(node_id))
+            known.add(node_id)
+            protocol.bind(known, derive_rng(spec.seed, "node", node_id))
             runtime = LiveNodeRuntime(
                 protocol,
                 self.graph.n,
@@ -197,8 +198,9 @@ class LiveCluster:
         )
 
     def knowledge(self, *, survivors_only: bool = False) -> Dict[int, Set[int]]:
+        """Each node's row, the set its runtime writes; do not write it."""
         return {
-            node_id: set(runtime.protocol.known)
+            node_id: runtime.known
             for node_id, runtime in self.nodes.items()
             if not (survivors_only and runtime.crashed_at is not None)
         }

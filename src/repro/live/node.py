@@ -20,7 +20,11 @@ simulated one):
   plus the ptrs-before-eor send order guaranteeing batch completeness;
 * same absorb timing — a message sent in round ``r`` is absorbed after
   round ``r``'s marker wait, i.e. before anyone runs round ``r + 1``,
-  which is the engine's end-of-round delivery.
+  which is the engine's end-of-round delivery;
+* same learning — the node's row is a plain ``set`` that only its
+  runtime writes: for each delivered message, the protocol's ``absorb``
+  runs first, then the runtime adds the sender and the carried ids,
+  which is the order the simulator's stores keep.
 
 Closure detection lags one round by construction: the ``eor`` marker
 for round ``r`` carries the sender's completeness *entering* round
@@ -115,8 +119,10 @@ class LiveNodeRuntime:
     """Host one protocol node as an asyncio task behind a TCP endpoint.
 
     Args:
-        protocol: A bound protocol-core node (initial knowledge and RNG
-            already installed, exactly as the engine would have).
+        protocol: A protocol-core node bound to its row, a plain ``set``
+            holding the node and its initial contacts, and to its RNG,
+            exactly as the engine would have.  The runtime writes the
+            row; the node only reads it.
         n: Fleet size — the strong-completion target ``len(known) == n``.
         seed: Master seed (context/metrics bookkeeping only; the
             protocol RNG is bound by the caller).
@@ -156,7 +162,9 @@ class LiveNodeRuntime:
         self.context = LiveHostContext(seed)
         self.transport = RealTransport().bind(self.context)
         self.rounds_run = 0
-        self.complete = len(protocol.known) >= n
+        #: The node's row: what it knows, written here and nowhere else.
+        self.known: Set[int] = protocol.known
+        self.complete = len(self.known) >= n
         self.shutdown_requested = asyncio.Event()
 
         self.marker_timeout = marker_timeout
@@ -297,7 +305,7 @@ class LiveNodeRuntime:
             if self.crash_at_round is not None and round_no >= self.crash_at_round:
                 await self._die(round_no)
                 break
-            entered_complete = len(self.protocol.known) >= self.n
+            entered_complete = len(self.known) >= self.n
 
             outbox = self.protocol.run_round(round_no, self._inbox)
             self._inbox = []
@@ -363,12 +371,15 @@ class LiveNodeRuntime:
                     continue
                 delivered.extend(batches[sender])
             self.transport.ingest(round_no + 1, delivered)
+            known = self.known
             for message in self.transport.arrivals(round_no + 1):
                 self.protocol.absorb(message)
+                known.update(message.ids)
+                known.add(message.sender)
                 self._inbox.append(message)
             self.context.metrics.close_round(round_no)
             self.rounds_run = round_no
-            self.complete = len(self.protocol.known) >= self.n
+            self.complete = len(known) >= self.n
 
             # Purge stale tables: late frames for already-processed
             # rounds (a suspect catching up) must not accumulate.
@@ -569,7 +580,7 @@ class LiveNodeRuntime:
     def _answer_query(self, frame: Mapping) -> Optional[Mapping]:
         """Service-plane queries; the live analogs of :mod:`repro.apps`."""
         kind = frame["t"]
-        known = self.protocol.known
+        known = self.known
         if kind == "census":
             return {
                 "t": "census_reply",

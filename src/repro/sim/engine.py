@@ -9,10 +9,11 @@ knowledge graph, enforcing the communication model of DESIGN.md section 1:
 * recipients learn the sender and every carried identifier at the end of
   the sending round, and act on the message in the following round.
 
-The engine keeps *ground-truth* knowledge independently of the protocol's
-own bookkeeping.  Ground truth drives the legality checks, the goal
-predicates, and — via observers — the lower-bound experiments, so a buggy
-or adversarial protocol cannot misreport its own progress.
+The engine keeps the *ground-truth* knowledge, and it is the only copy:
+each protocol node reads its own machine's row of it and never writes
+it.  Ground truth drives the legality checks, the goal predicates, and —
+via observers — the lower-bound experiments, so a buggy or adversarial
+protocol cannot misreport its own progress.
 
 One round loop serves every backend.  :meth:`SynchronousEngine.step`
 runs, in order:
@@ -29,9 +30,9 @@ runs, in order:
    the messages due next round and drops those lost in flight (crashed
    or dormant recipient, model veto), writing the delivery log when an
    observer wants one;
-5. **learn** — the store teaches each recipient the sender and the
-   carried ids, interleaved with the protocol's ``absorb`` in delivery
-   order (:meth:`~repro.sim.store.KnowledgeStore.learn`);
+5. **learn** — in delivery order, the recipient's protocol absorbs
+   each message, then the store teaches the recipient the sender and the
+   carried ids (:meth:`~repro.sim.store.KnowledgeStore.learn`);
 6. **metrics and observers**.
 
 With ``profile=True`` the stages are timed into :data:`PROFILE_PHASES`:
@@ -47,8 +48,8 @@ survives as an alias for ``delivery=BoundedJitter(jitter)``.
 
 Ground truth lives in a knowledge store (:mod:`repro.sim.store` states
 the contract): the loop asks it only to ``check`` an outbox, ``learn`` a
-delivery batch, hand out the lazy ``sets`` behind :attr:`knowledge`,
-``digest`` the state, keep the completion counters the goals read
+delivery batch, hand out the ``rows`` the nodes and :attr:`knowledge`
+read, ``digest`` the state, keep the completion counters the goals read
 (complete machines, :meth:`weak_leader`, alive coverage) and ``inject``
 out-of-band knowledge.  The ``backend`` constructor parameter picks the
 store; the historical ``fast_path`` flag survives as an alias for the
@@ -87,6 +88,7 @@ import math
 from operator import attrgetter
 from time import perf_counter
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Collection,
@@ -187,8 +189,8 @@ class SynchronousEngine:
             set store; in the mask store, set probes for a sender that
             knows all but a few machines and otherwise one mask
             conversion per distinct payload object (which delivery then
-            reuses); one C-level superset probe per message in the
-            packed store.  Benchmarks may disable it, tests keep it on.
+            reuses); one packed payload per distinct payload object in
+            the packed store.  Benchmarks may disable it, tests keep it on.
         fast_path: Use the mask store (see the module docstring).
             Defaults to ``False`` here (the set store); the bench
             harness, CLI, and :func:`repro.discover` pass ``True``.
@@ -300,7 +302,7 @@ class SynchronousEngine:
                 raise EngineStateError(
                     f"factory returned node id {protocol.node_id} for {node}"
                 )
-            protocol.bind(adjacency[node], derive_rng(seed, "node", node))
+            protocol.bind(self.store.rows[node], derive_rng(seed, "node", node))
             self.nodes[node] = protocol
 
         self.round_no = 0
@@ -310,13 +312,15 @@ class SynchronousEngine:
             observer.on_setup(self)
 
     @property
-    def knowledge(self) -> Dict[int, Set[int]]:
-        """Ground-truth knowledge sets, keyed by machine id.
+    def knowledge(self) -> Dict[int, AbstractSet[int]]:
+        """Ground-truth knowledge, keyed by machine id: the store's rows.
 
-        Always current when read; the fast and vector stores build the
-        sets on read from their masks or packed rows.
+        The same objects the protocol nodes read as ``known``, always
+        current: the set store's ``set``\\ s, or read-only views over the
+        fast store's masks and the vector store's packed rows.  Nothing
+        is copied; do not write them.
         """
-        return self.store.sets
+        return self.store.rows
 
     @property
     def phase_timings(self) -> Dict[str, float]:
@@ -351,14 +355,12 @@ class SynchronousEngine:
     def inject_knowledge(self, node: int, ids: Iterable[int]) -> bool:
         """Teach *node* the machine ids *ids* out of band, effective now.
 
-        The sanctioned host-side injection seam (the protocol-node
-        counterpart is :meth:`repro.sim.node.ProtocolNode.learn`): the
-        dynamic-graph workload mode uses it to make new contact edges
-        appear mid-run.  Ground truth is updated first and the protocol
-        node second, so legality enforcement sees a consistent state and
-        the node may immediately message its new contacts.  Every store
-        applies the same bits (:meth:`~repro.sim.store.KnowledgeStore.inject`),
-        keeping cross-backend knowledge digests identical.
+        The sanctioned host-side injection seam: the dynamic-graph
+        workload mode uses it to make new contact edges appear mid-run.
+        The node reads its row of the store, so it may immediately
+        message its new contacts.  Every store applies the same bits
+        (:meth:`~repro.sim.store.KnowledgeStore.inject`), keeping
+        cross-backend knowledge digests identical.
 
         Call before :meth:`step` of the round the contact should exist
         in.  Ids naming no simulated machine are ignored (the legacy
@@ -377,7 +379,6 @@ class SynchronousEngine:
         }
         if new_ids:
             self.store.inject(node, new_ids)
-        self.nodes[node].learn(new_ids)
         return True
 
     # -- execution -----------------------------------------------------------------

@@ -5,9 +5,8 @@ Machine ids are remapped onto ``[0, n)``
 is an n-bit integer, bit ``j`` set iff it knows ``node_ids[j]``.  The
 masks carry all the counting work — completion via popcount, the weak
 goal via a word-parallel running AND, alive coverage via masked
-popcounts — and are the store's only ground truth.  The sets behind
-:attr:`~repro.sim.store.KnowledgeStore.sets` are a lazy cache: a read
-folds in just the bits set since the last read.
+popcounts — and are the only copy of what each machine knows: its
+protocol node reads its mask through a :class:`MaskRow` view.
 
 Delivery learning is bounded by the **candidate mask**
 ``(mask[sender] | sender_bit) & ~mask[recipient]``: legal traffic only
@@ -28,7 +27,7 @@ from typing import Collection, Deque, Dict, List, Mapping, Optional, Sequence, S
 from .errors import EngineStateError
 from .messages import Message
 from .node import ProtocolNode
-from .store import KnowledgeStore
+from .store import KnowledgeStore, RowView
 from .vector_kernel import np, require_numpy
 
 #: Largest n for which the store keeps a per-id power-of-two table
@@ -42,14 +41,55 @@ _POW2_TABLE_MAX_N = 1 << 14
 #: fixed cost of a few microseconds only pays off past it.
 _SUM_PAYLOAD_BITS = 1 << 16
 
-#: A row with at most this many bits new since the last set sync adds
-#: them one by one; more go through one ``np.unpackbits``, whose fixed
-#: cost of ~15 µs only pays off past it.
-_SYNC_LOOP_BITS = 32
+#: A row of at most this many bits is iterated by peeling its bits one
+#: by one; a larger one goes through one ``np.unpackbits`` and a gather,
+#: whose fixed cost (~7 µs at n = 2048) only pays off past it.
+_PEEL_BITS = 32
 
 #: A sender missing at most this many machines has its payloads checked
 #: with set probes against the ids it may not name, not converted.
 _ABSENT_MAX = 64
+
+
+class MaskRow(RowView):
+    """One machine's knowledge, read from its mask.
+
+    Membership is a bit test through the dense index and the size is
+    the store's per-row count.  Iteration runs in ascending id order
+    through ``node_ids``, so it shares their int objects: a complete row
+    iterates ``node_ids`` itself, a row of at most ``_PEEL_BITS`` bits
+    peels them, any other takes one ``np.unpackbits``.
+    """
+
+    __slots__ = ()
+
+    def __contains__(self, node: object) -> bool:
+        store = self._store
+        bit = store.index.get(node)
+        return bit is not None and store.masks[self._idx] >> bit & 1 == 1
+
+    def __len__(self) -> int:
+        return self._store._sizes[self._idx]
+
+    def _ids(self) -> Sequence[int]:
+        store = self._store
+        idx = self._idx
+        size = store._sizes[idx]
+        node_ids = store.node_ids
+        if size == store.n:
+            return node_ids
+        mask = store.masks[idx]
+        if size <= _PEEL_BITS:
+            ids = []
+            while mask:
+                bit = mask.bit_length() - 1
+                ids.append(node_ids[bit])
+                mask ^= 1 << bit
+            ids.reverse()
+            return ids
+        row = np.frombuffer(mask.to_bytes(store._nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(row, count=store.n, bitorder="little")
+        return store._id_array[bits.view(bool)].tolist()
 
 
 class MaskStore(KnowledgeStore):
@@ -73,15 +113,16 @@ class MaskStore(KnowledgeStore):
         self._memo: Dict[int, Tuple[Collection[int], int]] = {}
         self._memo_keys: List[int] = []
         self._memo_generations: Deque[List[int]] = deque()
-        self.masks = [self.mask_of(self._sets[node]) for node in self.node_ids]
+        self.masks = [self.mask_of(self.rows[node]) for node in self.node_ids]
         self._sizes = [mask.bit_count() for mask in self.masks]
         self._complete_mask = 0
         for idx, size in enumerate(self._sizes):
             if size == n:
                 self.complete_count += 1
                 self._complete_mask |= 1 << idx
-        # Each mask as of the last set sync.
-        self._synced = list(self.masks)
+        #: ``node_ids`` as a numpy object array, for gathering a row's ids.
+        self._id_array = np.array(self.node_ids, dtype=object)
+        self.rows = {node: MaskRow(self, idx) for idx, node in enumerate(self.node_ids)}
         self.rebuild_alive()
 
     def mask_of(self, ids: Collection[int]) -> Optional[int]:
@@ -113,36 +154,6 @@ class MaskStore(KnowledgeStore):
         flags = np.zeros(self.n, dtype=bool)
         flags[bits] = True
         return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
-
-    def _sync_sets(self) -> None:
-        """Fold mask growth since the last sync into the sets.
-
-        Knowledge only grows, so an unchanged row costs one identity test
-        and a changed one the extraction of its new bits: O(total
-        learning) over a run, however often the sets are read.  A row
-        with at most ``_SYNC_LOOP_BITS`` new bits peels them off one by
-        one; more go through one ``np.unpackbits``.  Bits map through
-        ``node_ids``, so the sets share its int objects.
-        """
-        node_ids = self.node_ids
-        sets = self._sets
-        synced = self._synced
-        for idx, mask in enumerate(self.masks):
-            cached = synced[idx]
-            if mask is cached:
-                continue
-            fresh = mask & ~cached
-            known = sets[node_ids[idx]]
-            if fresh.bit_count() <= _SYNC_LOOP_BITS:
-                while fresh:
-                    bit = fresh.bit_length() - 1
-                    known.add(node_ids[bit])
-                    fresh ^= 1 << bit
-            else:
-                row = np.frombuffer(fresh.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-                bits = np.flatnonzero(np.unpackbits(row, bitorder="little"))
-                known.update(itemgetter(*bits.tolist())(node_ids))
-            synced[idx] = mask
 
     def check(self, node: int, outbox: Sequence[Message]) -> None:
         """Whole-outbox legality guard.
@@ -227,7 +238,6 @@ class MaskStore(KnowledgeStore):
         pow2 = self._pow2
         full = self._full
         memo = self._memo
-        learned = False
         for message in messages:
             recipient = message.recipient
             bucket = inboxes.get(recipient)
@@ -235,6 +245,7 @@ class MaskStore(KnowledgeStore):
                 inboxes[recipient] = [message]
             else:
                 bucket.append(message)
+            nodes[recipient].absorb(message)
             # Learn, bounded by the candidate mask: everything this
             # delivery could teach is something the sender knows (it is
             # the sender, or legally carried) that the recipient does
@@ -276,10 +287,6 @@ class MaskStore(KnowledgeStore):
                         add = (mask | sbit) & cand
                     if add:
                         self._apply(recipient, ri, add)
-                        learned = True
-            nodes[recipient].absorb(message)
-        if learned:
-            self.stale = True
         self._age_memo()
         return inboxes
 
@@ -346,7 +353,6 @@ class MaskStore(KnowledgeStore):
         idx = self.index[node]
         add = self.mask_of(ids) & ~self.masks[idx]
         if add:
-            self.stale = True
             self._apply(node, idx, add)
 
     def _load_near_complete(
@@ -365,4 +371,3 @@ class MaskStore(KnowledgeStore):
                 sizes[row] = n - len(ids)
                 incomplete |= 1 << row
         self._complete_mask = full ^ incomplete
-        self._synced = list(masks)

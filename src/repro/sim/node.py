@@ -9,9 +9,9 @@ Two hosts ship with the repository — the synchronous simulator
 runtime (:mod:`repro.live`) — and both drive the identical node code
 through the same three entry points:
 
-* :meth:`bind` — install initial knowledge and the node's private RNG
-  (exactly once, before the first round);
-* :meth:`absorb` — learn from a delivered message at acceptance time;
+* :meth:`bind` — install the node's row of the host's knowledge and
+  the node's private RNG (exactly once, before the first round);
+* :meth:`absorb` — see a delivered message at acceptance time;
 * :meth:`run_round` — execute one round against an inbox and return the
   outbox of messages to dispatch.
 
@@ -21,26 +21,22 @@ r**; the recipient *acts* on it in round *r + 1*.  Hosts therefore call
 :meth:`absorb` at acceptance time and :meth:`run_round` at the start of
 the next round.
 
-Knowledge discipline: every write to ``self.known`` funnels through
-:meth:`learn` (``absorb`` and ``bind`` included), which fires the
-:meth:`_knowledge_changed` hook whenever knowledge actually grew.
-Subclasses that cache derived views of ``known`` (snapshots, deltas —
-see :class:`repro.algorithms.base.DiscoveryNode`) invalidate them in that
-hook, so a host that teaches a node through any sanctioned path can never
-observe a stale cache.  Hosts and applications must never mutate
-``node.known`` directly.
-
-Nodes keep their *own* view of what they know (``self.known``).  The
-simulator host independently tracks ground-truth knowledge for legality
-enforcement and goal detection; a property test asserts the two views
-never diverge for the shipped protocols.
+Knowledge lives in the host, once.  ``self.known`` is the node's row of
+the host's knowledge — a read-only set view on the simulator's stores, a
+plain ``set`` on the live host — and the node never writes it.  For each
+delivered message the host first calls :meth:`absorb`, then teaches the
+recipient the sender and the carried ids, so an ``absorb`` override sees
+the knowledge from before the message.  Knowledge only grows, so
+``len(self.known)`` serves as its version: caches derived from the row
+(snapshots, sorted views — see
+:class:`repro.algorithms.base.DiscoveryNode`) rebuild when it changes.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Collection, Iterable, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Collection, List, Optional, Sequence, Set
 
 from .messages import Message
 
@@ -50,51 +46,35 @@ class ProtocolNode(abc.ABC):
 
     Subclasses must call ``super().__init__(node_id)`` and implement
     :meth:`on_round`.  The host calls :meth:`bind` exactly once before the
-    first round to provide the initial knowledge and the node's private
-    random stream.
+    first round to provide the node's row of its knowledge and the node's
+    private random stream.
     """
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.known: Set[int] = {node_id}
+        self.known: AbstractSet[int] = frozenset((node_id,))
         self.rng: random.Random = random.Random(0)
         self.halted = False
         self._outbox: List[Message] = []
 
     # -- host-facing lifecycle -----------------------------------------------------
 
-    def bind(self, initial_knowledge: Iterable[int], rng: random.Random) -> None:
-        """Install initial knowledge and RNG; then run protocol setup."""
-        self.learn(initial_knowledge)
+    def bind(self, known: AbstractSet[int], rng: random.Random) -> None:
+        """Install the node's row and RNG; then run protocol setup.
+
+        *known* is the row the host keeps for this node, holding the node
+        itself and its initial contacts; the host writes it, the node
+        only reads it.
+        """
+        if self.node_id not in known:
+            raise ValueError(f"node {self.node_id}'s row does not hold the node itself")
+        self.known = known
         self.rng = rng
         self.setup()
 
-    def learn(self, ids: Iterable[int] = (), *, sender: Optional[int] = None) -> None:
-        """The single funnel through which knowledge enters this node.
-
-        Every sanctioned write path — :meth:`bind`, :meth:`absorb`, a
-        host teaching the node out of band — goes through here, so the
-        :meth:`_knowledge_changed` hook fires on *every* actual growth
-        and caches derived from ``known`` can never go stale.
-        """
-        known = self.known
-        before = len(known)
-        known.update(ids)
-        if sender is not None:
-            known.add(sender)
-        if len(known) != before:
-            self._knowledge_changed()
-
-    def _knowledge_changed(self) -> None:
-        """Hook fired by :meth:`learn` when knowledge actually grew.
-
-        Subclasses caching derived views of ``known`` override this to
-        invalidate them; the base implementation does nothing.
-        """
-
     def absorb(self, message: Message) -> None:
-        """Learn from *message* at acceptance time (end of sending round)."""
-        self.learn(message.ids, sender=message.sender)
+        """Hook run for each delivered message, before the host teaches
+        the recipient its sender and ids; the default does nothing."""
 
     def run_round(self, round_no: int, inbox: Sequence[Message]) -> List[Message]:
         """Host entry point: execute one round, return the outbox.

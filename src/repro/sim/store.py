@@ -7,10 +7,12 @@ and offers the loop a handful of operations:
 
 * :meth:`KnowledgeStore.check` — the legality guard over one outbox;
 * :meth:`KnowledgeStore.learn` — deliver a batch of messages in order:
-  teach each recipient the sender and the carried ids, file the message
-  in the recipient's next inbox and hand it to the protocol's ``absorb``;
-* :attr:`KnowledgeStore.sets` — the knowledge as per-machine ``set``\\ s,
-  which the other stores build lazily, on read;
+  file each message in the recipient's next inbox, hand it to the
+  protocol's ``absorb``, then teach the recipient the sender and the
+  carried ids;
+* :attr:`KnowledgeStore.rows` — each machine's knowledge as a set.  The
+  engine binds every protocol node to its machine's row, so the store's
+  representation is the only copy of what a machine knows;
 * :meth:`KnowledgeStore.digest` — the canonical SHA-256 of the state;
 * completion counters (:attr:`~KnowledgeStore.complete_count`,
   :meth:`~KnowledgeStore.weak_leader`, alive coverage in
@@ -21,18 +23,22 @@ and offers the loop a handful of operations:
 Three stores ship: :class:`SetStore` here (per-id sets, the reference
 implementation), :class:`~repro.sim.mask_store.MaskStore` (one Python-int
 bitmask per machine) and :class:`~repro.sim.vector_kernel.VectorState`
-(one bit-packed numpy matrix).  All three produce identical digests,
-counters and :class:`~repro.sim.errors.ProtocolViolation`\\ s, and the
-reference legality scan (:meth:`KnowledgeStore.scan`) is the one every
-store falls back to when its own guard suspects a violation.
+(one bit-packed numpy matrix).  The set store's rows are its own
+``set``\\ s; the other two hand out read-only :class:`RowView`\\ s over
+their bits.  All three produce identical digests, counters and
+:class:`~repro.sim.errors.ProtocolViolation`\\ s, and the reference
+legality scan (:meth:`KnowledgeStore.scan`) is the one every store falls
+back to when its own guard suspects a violation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import (
     Collection,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -51,6 +57,59 @@ from .node import ProtocolNode
 MissingGroups = Iterable[Tuple[Collection[int], Sequence[int]]]
 
 
+#: Set types ``RowView`` combines with, checked before the slower ABC test.
+_BUILTIN_SETS = (set, frozenset)
+
+
+class RowView(AbstractSet):
+    """Read-only set view of one machine's row in a bit store.
+
+    Subclasses read the bits: membership (``__contains__``), size
+    (``__len__``) and the ids in ascending order (``_ids``).  ``-``,
+    ``&`` and ``|`` with another set return a plain ``set`` built by
+    C-level set operations over ``_ids``, not the ``Set`` mixins'
+    generators; the mixins' other results are plain sets too.
+    """
+
+    __slots__ = ("_store", "_idx")
+
+    def __init__(self, store: "KnowledgeStore", idx: int) -> None:
+        self._store = store
+        self._idx = idx
+
+    def _ids(self) -> Sequence[int]:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids())
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[int]) -> Set[int]:
+        return set(iterable)
+
+    def _combine(self, other, update):
+        if type(other) not in _BUILTIN_SETS and not isinstance(other, AbstractSet):
+            return NotImplemented
+        result = set(self._ids())
+        update(result, other)
+        return result
+
+    def __sub__(self, other):
+        return self._combine(other, set.difference_update)
+
+    def __and__(self, other):
+        return self._combine(other, set.intersection_update)
+
+    def __or__(self, other):
+        return self._combine(other, set.update)
+
+    __rand__ = __and__
+    __ror__ = __or__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._ids())!r})"
+
+
 class KnowledgeStore:
     """Ground-truth knowledge of one run, plus its derived counters.
 
@@ -59,7 +118,9 @@ class KnowledgeStore:
             has dense index ``i``.
         index: ``{machine id: dense index}``.
         initial: Each machine's initial knowledge, itself included.  The
-            store takes ownership of these sets.
+            store takes these sets as its rows; the fast and vector
+            stores read them once and replace them with views over their
+            bits.
         alive: The engine's set of machines that have not crashed; the
             store reads it (shared, never written) for alive coverage.
         max_delay: The most rounds a message can spend in flight.
@@ -79,9 +140,10 @@ class KnowledgeStore:
         self.id_set = frozenset(node_ids)
         self.alive = alive
         self.max_delay = max_delay
-        self._sets = initial
-        #: Whether :attr:`sets` lags behind the store's own representation.
-        self.stale = False
+        #: ``{machine id: its knowledge}``, always current; each
+        #: machine's protocol node reads its own row.  Only the store
+        #: writes them.
+        self.rows: Dict[int, AbstractSet[int]] = initial
         #: Machines that know every machine.
         self.complete_count = 0
         #: ``{alive machine: alive machines it knows}``.
@@ -89,20 +151,9 @@ class KnowledgeStore:
         #: Alive machines that know every alive machine.
         self.alive_complete = 0
 
-    @property
-    def sets(self) -> Dict[int, Set[int]]:
-        """Knowledge as ``{machine id: set of ids}``, current when read."""
-        if self.stale:
-            self._sync_sets()
-            self.stale = False
-        return self._sets
-
-    def _sync_sets(self) -> None:
-        """Fold what was learned since the last read into :attr:`sets`."""
-
     def scan(self, node: int, outbox: Sequence[Message]) -> None:
         """Reference legality scan; raises on the first violation."""
-        knowledge = self.sets[node]
+        knowledge = self.rows[node]
         for message in outbox:
             if message.recipient not in knowledge:
                 raise ProtocolViolation(
@@ -123,7 +174,10 @@ class KnowledgeStore:
     def learn(
         self, messages: Sequence[Message], nodes: Mapping[int, ProtocolNode]
     ) -> Dict[int, List[Message]]:
-        """Deliver *messages* in order and return the next round's inboxes."""
+        """Deliver *messages* in order and return the next round's inboxes.
+
+        Each recipient's protocol node absorbs a message before the store
+        teaches the recipient its sender and ids."""
         raise NotImplementedError
 
     def digest(self) -> str:
@@ -143,25 +197,11 @@ class KnowledgeStore:
         """Teach *node* the real machine ids *ids* (its own id excluded)."""
         raise NotImplementedError
 
-    def inject_near_complete(self, missing: MissingGroups, keep_sets: bool) -> None:
+    def inject_near_complete(self, missing: MissingGroups) -> None:
         """Overwrite the state: every machine knows every machine except
-        that the machines of each group miss that group's ids.
-
-        With ``keep_sets=False`` the :attr:`sets` are left empty instead
-        of rebuilt (a benchmark at large n cannot afford them); digests
-        and counters stay exact.
-        """
+        that the machines of each group miss that group's ids.  Rows
+        already handed out stay valid."""
         groups = [(ids, nodes) for ids, nodes in missing if ids and nodes]
-        if keep_sets:
-            # Complete machines share one set: they never learn again.
-            full = set(self.node_ids)
-            self._sets = dict.fromkeys(self.node_ids, full)
-            for ids, nodes in groups:
-                for node in nodes:
-                    self._sets[node] = full.difference(ids)
-        else:
-            self._sets = {}
-        self.stale = False
         self.complete_count = self.n - sum(len(nodes) for _, nodes in groups)
         self._load_near_complete(groups)
         self.rebuild_alive()
@@ -189,13 +229,15 @@ class SetStore(KnowledgeStore):
     """Per-machine ``set``\\ s walked id by id: the reference store.
 
     Simple and obviously correct; the differential runner and the fuzzer
-    hold the other stores to it round by round.
+    hold the other stores to it round by round.  The rows are the sets.
     """
+
+    rows: Dict[int, Set[int]]
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         known_by = {node: 0 for node in self.node_ids}
-        for known in self._sets.values():
+        for known in self.rows.values():
             for target in known:
                 known_by[target] += 1
             if len(known) == self.n:
@@ -210,14 +252,14 @@ class SetStore(KnowledgeStore):
         for message in messages:
             recipient = message.recipient
             inboxes.setdefault(recipient, []).append(message)
+            nodes[recipient].absorb(message)
             self._learn(recipient, message.ids)
             self._learn(recipient, (message.sender,))
-            nodes[recipient].absorb(message)
         return inboxes
 
     def _learn(self, node: int, new_ids: Iterable[int]) -> None:
         """The per-id learning rule."""
-        knowledge = self._sets[node]
+        knowledge = self.rows[node]
         before = len(knowledge)
         alive = self.alive
         alive_gain = 0
@@ -239,37 +281,35 @@ class SetStore(KnowledgeStore):
             self._credit_alive(node, alive_gain)
 
     def digest(self) -> str:
-        return digest_knowledge({node: self._sets[node] for node in self.node_ids})
+        return digest_knowledge({node: self.rows[node] for node in self.node_ids})
 
     def weak_leader(self) -> Optional[int]:
         n = self.n
         known_by = self._known_by
         for node in self.node_ids:
-            if len(self._sets[node]) == n and known_by[node] == n:
+            if len(self.rows[node]) == n and known_by[node] == n:
                 return node
         return None
 
     def rebuild_alive(self) -> None:
         alive = self.alive
-        self.alive_known = {node: len(self._sets[node] & alive) for node in alive}
+        self.alive_known = {node: len(self.rows[node] & alive) for node in alive}
         self._count_alive_complete()
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         self._learn(node, ids)
 
-    def inject_near_complete(self, missing: MissingGroups, keep_sets: bool) -> None:
-        if not keep_sets:
-            raise ValueError(
-                "keep_sets=False is meaningless on the legacy backend, "
-                "which computes on the sets"
-            )
-        super().inject_near_complete(missing, keep_sets)
-
     def _load_near_complete(
         self, groups: List[Tuple[Collection[int], Sequence[int]]]
     ) -> None:
+        # Update the sets in place: the protocol nodes hold them.
+        rows = self.rows
+        for known in rows.values():
+            known.update(self.node_ids)
         known_by = {node: self.n for node in self.node_ids}
         for ids, nodes in groups:
+            for node in nodes:
+                rows[node].difference_update(ids)
             for target in ids:
                 known_by[target] -= len(nodes)
         self._known_by = known_by

@@ -53,7 +53,7 @@ from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import EngineStateError
 from .messages import Message
 from .node import ProtocolNode
-from .store import KnowledgeStore
+from .store import KnowledgeStore, RowView
 
 try:  # pragma: no cover - exercised via vector_available() either way
     import numpy as np
@@ -97,6 +97,29 @@ def require_numpy(backend: str = "vector") -> None:
         )
 
 
+class PackedRow(RowView):
+    """One machine's knowledge, read from its packed row: a bit test on
+    ``K``, the size by popcount, and iteration by one ``np.unpackbits``
+    (or over ``node_ids`` itself for a complete row)."""
+
+    __slots__ = ()
+
+    def __contains__(self, node: object) -> bool:
+        store = self._store
+        bit = store.index.get(node)
+        return bit is not None and int(store.K[self._idx, bit >> 3]) >> (bit & 7) & 1 == 1
+
+    def __len__(self) -> int:
+        return int(_popcount_rows(self._store.K[self._idx]))
+
+    def _ids(self) -> Sequence[int]:
+        store = self._store
+        if store.complete[self._idx]:
+            return store.node_ids
+        bits = np.unpackbits(store.K[self._idx], count=store.n, bitorder="little")
+        return store._id_array[bits.view(bool)].tolist()
+
+
 class VectorState(KnowledgeStore):
     """The packed store: bit-packed ground truth (``backend="vector"``).
 
@@ -111,9 +134,7 @@ class VectorState(KnowledgeStore):
       recount would produce (updates are delta-exact, see
       :meth:`_apply_deltas`).
 
-    The sets behind :attr:`sets` are a lazy cache kept per changed row
-    (``_dirty``); the legality guard probes them, so with enforcement on
-    the first check of a round brings them up to date.
+    Its rows are :class:`PackedRow` views over ``K``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -136,12 +157,11 @@ class VectorState(KnowledgeStore):
         self._chunk_rows = max(1, _CHUNK_BYTES // max(1, self.nbytes))
         index = self.index
         for node in self.node_ids:
-            self.seed_row(index[node], [index[target] for target in self._sets[node]])
+            self.seed_row(index[node], [index[target] for target in self.rows[node]])
         self.complete_count = int(self.complete.sum())
-        # ``{row_index: row value at the last set sync}``, kept sparse so
-        # rows that never change (the steady-state common case) cost
-        # nothing.
-        self._dirty: Dict[int, "np.ndarray"] = {}
+        #: ``node_ids`` as a numpy object array, for gathering a row's ids.
+        self._id_array = np.array(self.node_ids, dtype=object)
+        self.rows = {node: PackedRow(self, index[node]) for node in self.node_ids}
         self.rebuild_alive()
 
     # -- construction helpers -----------------------------------------------------
@@ -267,13 +287,26 @@ class VectorState(KnowledgeStore):
     # -- the store operations -----------------------------------------------------
 
     def check(self, node: int, outbox: Sequence[Message]) -> None:
-        """Whole-outbox legality guard: one C-level superset probe per
-        message against the sender's knowledge set.  On any suspected
-        violation the reference scan re-runs to raise the exact
+        """Whole-outbox legality guard: a bit test on the sender's row
+        per recipient, and each payload packed (:meth:`_pack_message`,
+        once per payload object) and tested against the row.  On any
+        suspected violation the reference scan re-runs to raise the exact
         :class:`~repro.sim.errors.ProtocolViolation`."""
-        known = self.sets[node]
+        index = self.index
+        sender_index = index[node]
+        row = self.K[sender_index]
+        unknown = np.invert(row)
+        id_set = self.id_set
+        cache: Dict[int, Tuple[Collection[int], "np.ndarray"]] = {}
         for message in outbox:
-            if message.recipient not in known or not known.issuperset(message.ids):
+            ri = index.get(message.recipient)
+            ids = message.ids
+            if (
+                ri is None
+                or not int(row[ri >> 3]) >> (ri & 7) & 1
+                or not id_set.issuperset(ids)
+                or (self._pack_message(ids, sender_index, cache) & unknown).any()
+            ):
                 self.scan(node, outbox)
                 raise EngineStateError(  # pragma: no cover - defensive
                     f"legality fast path flagged node {node} but the "
@@ -317,6 +350,7 @@ class VectorState(KnowledgeStore):
                 inboxes[recipient] = [message]
             else:
                 bucket.append(message)
+            nodes[recipient].absorb(message)
             if teaches[pos]:
                 si = sender_list[pos]
                 ri = recipient_list[pos]
@@ -325,7 +359,6 @@ class VectorState(KnowledgeStore):
                     if ri not in old_rows:
                         old_rows[ri] = self.K[ri].copy()
                     self.K[ri] |= add
-            nodes[recipient].absorb(message)
         if old_rows:
             self._apply_deltas(old_rows)
         return inboxes
@@ -339,7 +372,6 @@ class VectorState(KnowledgeStore):
         node_ids = self.node_ids
         alive = self.alive
         alive_row = self._alive_row
-        dirty = self._dirty
         for row_index, old_row in old_rows.items():
             delta = self.K[row_index] & ~old_row
             gained = int(_popcount_rows(delta))
@@ -352,24 +384,12 @@ class VectorState(KnowledgeStore):
                 # before, so reaching completeness here is a transition.
                 self.mark_complete(row_index)
                 self.complete_count += 1
-            self.stale = True
-            if row_index not in dirty:
-                dirty[row_index] = old_row
             node = node_ids[row_index]
             if node in alive:
                 if alive_row is not None:
                     gained = int(_popcount_rows(delta & alive_row))
                 if gained:
                     self._credit_alive(node, gained)
-
-    def _sync_sets(self) -> None:
-        node_ids = self.node_ids
-        node_id = node_ids.__getitem__
-        for idx, cached_row in self._dirty.items():
-            fresh = self.K[idx] & ~cached_row
-            bits = np.nonzero(np.unpackbits(fresh, bitorder="little")[: self.n])[0]
-            self._sets[node_ids[idx]].update(map(node_id, bits.tolist()))
-        self._dirty.clear()
 
     def digest(self) -> str:
         # The matrix *is* the canonical byte string: C-contiguous packed
@@ -440,4 +460,3 @@ class VectorState(KnowledgeStore):
             np.bitwise_and.at(
                 self.complete_row, self.byte_of[rows], ~self.bitval_of[rows]
             )
-        self._dirty.clear()

@@ -15,8 +15,9 @@ class PlainNode(DiscoveryNode):
 
 
 def make_node(knows=(2, 3)) -> PlainNode:
+    """Node 1, bound to a plain-set row that the test writes as its host."""
     node = PlainNode(1)
-    node.bind(knows, random.Random(0))
+    node.bind({1, *knows}, random.Random(0))
     return node
 
 
@@ -30,18 +31,17 @@ class TestSnapshots:
         node = make_node()
         first = node.knowledge_snapshot()
         assert node.knowledge_snapshot() is first
-        node.absorb(Message(kind="x", sender=9, recipient=1))
+        node.known.add(9)  # the host learns a delivery's sender
         second = node.knowledge_snapshot()
         assert second is not first
         assert 9 in second
 
     def test_direct_learn_invalidates_snapshot(self):
-        # Regression: knowledge taught out-of-band (host-side learn(),
-        # not message absorption) must invalidate the cached snapshot.
-        # Before the learn() funnel, only absorb() cleared the cache.
+        # Knowledge taught out of band, with no message and no hook, must
+        # still retire the cached snapshot: the cache follows the row.
         node = make_node()
         first = node.knowledge_snapshot()
-        node.learn((7,))
+        node.known.add(7)
         second = node.knowledge_snapshot()
         assert second is not first
         assert 7 in second
@@ -50,7 +50,7 @@ class TestSnapshots:
     def test_redundant_learn_keeps_cache(self):
         node = make_node()
         first = node.knowledge_snapshot()
-        node.learn((2, 3), sender=2)
+        node.known.update((2, 3))
         assert node.knowledge_snapshot() is first
 
 
@@ -67,7 +67,7 @@ class TestDeltas:
     def test_new_learning_reappears_in_delta(self):
         node = make_node()
         node.mark_sent()
-        node.absorb(Message(kind="x", sender=5, recipient=1, ids=(6,)))
+        node.known.update((5, 6))
         assert node.unsent_delta() == frozenset({5, 6})
 
     def test_delta_never_contains_self(self):
@@ -78,7 +78,7 @@ class TestDeltas:
 class TestRandomPeer:
     def test_none_when_lonely(self):
         node = PlainNode(1)
-        node.bind((), random.Random(0))
+        node.bind({1}, random.Random(0))
         assert node.pick_random_peer() is None
 
     def test_peer_is_known_and_not_self(self):
@@ -98,19 +98,19 @@ class TestRandomPeer:
         # Same knowledge assembled in different orders must give the same
         # random choices (the picker sorts before sampling).
         a = PlainNode(1)
-        a.bind((2, 3, 4), random.Random(7))
+        a.bind({1, 2, 3, 4}, random.Random(7))
         b = PlainNode(1)
-        b.bind((4, 3, 2), random.Random(7))
+        b.bind({4, 3, 2, 1}, random.Random(7))
         assert [a.pick_random_peer() for _ in range(8)] == [
             b.pick_random_peer() for _ in range(8)
         ]
 
     def test_learning_between_picks_makes_new_id_pickable(self):
-        # The sorted peer view is cached across picks; a learn() between
-        # two picks must invalidate it so the new id can be drawn.
+        # The sorted peer view is cached across picks; learning between
+        # two picks must retire it so the new id can be drawn.
         node = make_node(knows=(2,))
         assert node.pick_random_peer() == 2
-        node.learn((9,))
+        node.known.add(9)
         assert node.sorted_peers() == [2, 9]
         assert 9 in {node.pick_random_peer() for _ in range(64)}
 
@@ -120,5 +120,5 @@ class TestRandomPeer:
         assert view == [3, 4, 5]
         node.pick_random_peer()
         assert node.sorted_peers() is view
-        node.learn((4,))  # nothing new: the view survives
+        node.known.add(4)  # nothing new: the view survives
         assert node.sorted_peers() is view

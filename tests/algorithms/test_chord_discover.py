@@ -18,8 +18,9 @@ class PoisonedRandom:
 
 
 def make_node(node_id: int, known) -> ChordDiscoverNode:
+    """A node bound to a plain-set row that the test writes as its host."""
     node = ChordDiscoverNode(node_id)
-    node.bind(known, PoisonedRandom())
+    node.bind({node_id, *known}, PoisonedRandom())
     return node
 
 
@@ -58,7 +59,7 @@ class TestFingerTable:
     def test_cache_invalidated_through_learn(self):
         node = make_node(0, {1 << 20})
         assert node.finger_table() == (1 << 20,)
-        node.learn({1 << 4, 1 << 40})
+        node.known.update({1 << 4, 1 << 40})
         # A closer machine per band must displace the old sole finger.
         assert node.finger_table() == (1 << 4, 1 << 20, 1 << 40)
 
@@ -78,7 +79,7 @@ class TestLinkMaintenance:
     def test_displaced_fingers_keep_receiving_deltas(self):
         node = make_node(0, {1 << 20})
         node.run_round(1, [])  # greet the sole finger
-        node.learn({1 << 4})  # displaces 1<<20 for the low bands
+        node.known.update({1 << 4})  # displaces 1<<20 for the low bands
         outbox = node.run_round(2, [])
         by_recipient = {m.recipient: m for m in outbox}
         # The new finger is greeted with the full snapshot; the displaced
@@ -90,7 +91,7 @@ class TestLinkMaintenance:
     def test_fresh_finger_receives_exactly_one_message(self):
         node = make_node(0, {1 << 20})
         node.run_round(1, [])
-        node.learn({1 << 30})
+        node.known.update({1 << 30})
         outbox = node.run_round(2, [])
         # 1<<30 becomes a finger the round it is learned: it must get the
         # greeting snapshot and nothing else — no redundant delta echoing

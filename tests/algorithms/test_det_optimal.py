@@ -18,14 +18,18 @@ class PoisonedRandom:
 
 
 def make_node(node_id: int, known) -> DetOptimalNode:
+    """A node bound to a plain-set row that the test writes as its host."""
     node = DetOptimalNode(node_id)
-    node.bind(known, PoisonedRandom())
+    node.bind({node_id, *known}, PoisonedRandom())
     return node
 
 
 def deliver(node: DetOptimalNode, message: Message):
-    """End-of-round acceptance: absorb, then act on it next round."""
+    """End-of-round acceptance as the host does it: absorb, then learn
+    the sender and ids; the node acts on the message next round."""
     node.absorb(message)
+    node.known.update(message.ids)
+    node.known.add(message.sender)
     return message
 
 
@@ -60,7 +64,7 @@ class TestMemberBehavior:
     def test_root_change_resets_and_reannounces(self):
         node = make_node(5, {2, 5, 7})
         node.run_round(1, [])
-        node.learn({1})  # a smaller root appears
+        node.known.update({1})  # a smaller root appears
         (report,) = node.run_round(2, [])
         assert report.recipient == 1
         # Everything must be re-reported to the new root, old root included.
@@ -89,7 +93,7 @@ class TestMemberBehavior:
         # Once min(known) < self, no later round may behave root-like.
         node = make_node(5, {3, 5})
         for round_no in range(1, 6):
-            node.learn({10 + round_no})  # keep knowledge growing
+            node.known.update({10 + round_no})  # keep knowledge growing
             for message in node.run_round(round_no, []):
                 assert message.kind == "report"
                 assert message.recipient == 3
@@ -120,7 +124,7 @@ class TestRootBehavior:
         assert set(wave) == {3, 4, 6}
         assert set(wave[6].ids) == {3, 4, 6}
         assert set(wave[3].ids) == set(wave[4].ids) == {6}
-        node.learn({8})
+        node.known.update({8})
         node.run_round(5, [])  # growth round: 8 gets solicited, wave gated
         wave = {m.recipient: m for m in node.run_round(6, [])}
         assert set(wave) == {3, 4, 6, 8}

@@ -60,7 +60,7 @@ class TestSwampingVariants:
         from repro.algorithms.swamping import SwampingNode
 
         node = SwampingNode(1, full=True)
-        node.bind((2, 3, 4, 5), random.Random(0))
+        node.bind({1, 2, 3, 4, 5}, random.Random(0))
         outbox = node.run_round(1, [])
         assert len(outbox) == 4
         first = outbox[0].ids

@@ -13,7 +13,6 @@ from repro.analysis.invariants import (
     MonotonicityObserver,
     closure_deficit,
     is_knowledge_closed,
-    verify_view_consistency,
     weak_closure_witnesses,
 )
 from repro.graphs import make_topology
@@ -164,16 +163,3 @@ class TestMonotonicity:
         result = repro.discover(graph, algorithm="sublog", seed=1, observers=[observer])
         assert result.completed
         assert not observer.violations
-
-
-class TestViewConsistency:
-    def test_mismatch_is_reported(self):
-        graph = make_topology("path", 4)
-        engine = SynchronousEngine(
-            graph.adjacency(), repro.get_algorithm("flooding").node_factory()
-        )
-        engine.run()
-        engine.nodes[0].known.discard(3)  # corrupt the node's private view
-        message = verify_view_consistency(engine)
-        assert message is not None
-        assert "node 0" in message

@@ -66,6 +66,19 @@ def test_injection_matches_counters():
         assert engine.weak_leader() == 0  # id 0 is never in a missing sample
 
 
+def test_injection_updates_the_rows_nodes_hold():
+    # Injection overwrites the state in place: the rows the nodes were
+    # bound to before it read the injected knowledge.
+    spec = SPECS["sparse"]
+    missing = laggard_missing(spec)
+    for backend in _backends():
+        engine, _ = build_steady_engine(spec, backend)
+        for node in (0, spec.n - 1):
+            row = engine.nodes[node].known
+            assert row is engine.knowledge[node]
+            assert set(row) == set(range(spec.n)) - missing.get(node, set())
+
+
 def test_laggards_learn_during_window():
     spec = SPECS["full-payload"]
     for backend in _backends():
@@ -82,28 +95,6 @@ def test_window_pointer_count_matches_metrics():
     for _ in range(spec.window):
         engine.step()
     assert engine.metrics.total_pointers == window_pointers
-
-
-@pytest.mark.parametrize("backend", ["fast", "vector"])
-def test_lazy_injection_digests_match_eager(backend):
-    if backend == "vector" and not vector_available():
-        pytest.skip("numpy unavailable")
-    spec = SPECS["shared-missing"]
-    eager, _ = build_steady_engine(spec, backend)
-    lazy, _ = build_steady_engine(spec, backend, sync_sets=False)
-    for _ in range(spec.window):
-        eager.step()
-        lazy.step()
-    assert eager.knowledge_digest() == lazy.knowledge_digest()
-
-
-def test_lazy_injection_rejected_on_legacy():
-    spec = SPECS["sparse"]
-    engine = SynchronousEngine(
-        ring_adjacency(spec.n), _quiet_factory, enforce_legality=False
-    )
-    with pytest.raises(ValueError, match="legacy"):
-        inject_steady_state(engine, laggard_missing(spec), sync_sets=False)
 
 
 def test_injection_rejected_with_enforcement():

@@ -25,15 +25,19 @@ from repro.sim.messages import Message
 
 
 def make_node(node_id=1, knows=(2, 3), config=None) -> SubLogNode:
+    """A node bound to a plain-set row that the test writes as its host."""
     node = SubLogNode(node_id, config=config)
-    node.bind(knows, random.Random(0))
+    node.bind({node_id, *knows}, random.Random(0))
     return node
 
 
 def deliver(node: SubLogNode, round_no: int, *messages: Message) -> List[Message]:
-    """Absorb + run one round; return the outbox."""
+    """Act as the host: absorb each message, then teach its sender and
+    ids, then run one round; return the outbox."""
     for message in messages:
         node.absorb(message)
+        node.known.update(message.ids)
+        node.known.add(message.sender)
     return node.run_round(round_no, list(messages))
 
 

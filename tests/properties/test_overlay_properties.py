@@ -86,11 +86,11 @@ def test_finger_table_matches_brute_force_under_incremental_growth(
     node_id, batches
 ):
     node = ChordDiscoverNode(node_id)
-    node.bind(batches[0], random.Random(0))
+    node.bind({node_id, *batches[0]}, random.Random(0))
     for batch in batches[1:]:
-        # Growth goes through learn(), the only sanctioned write path —
-        # this is exactly what must invalidate the cached sorted view.
-        node.learn(batch)
+        # The host grows the row it bound; the cached sorted view must
+        # notice the growth without being told.
+        node.known.update(batch)
         assert node.finger_table() == brute_force_fingers(node_id, node.known)
     assert node.finger_table() == brute_force_fingers(node_id, node.known)
 

@@ -33,17 +33,31 @@ class MergeNode(ProtocolNode):
 class TestProtocolNode:
     def _bound(self, node_id: int = 1, knows=(2, 3)) -> EchoNode:
         node = EchoNode(node_id)
-        node.bind(knows, random.Random(0))
+        node.bind({node_id, *knows}, random.Random(0))
         return node
 
     def test_bind_installs_initial_knowledge(self):
         node = self._bound()
         assert node.known == {1, 2, 3}
 
-    def test_absorb_learns_sender_and_ids(self):
+    def test_bind_takes_the_row_itself(self):
+        # The host's row is the only copy: the node reads what the host
+        # writes afterwards.
+        row = {1, 2, 3}
+        node = EchoNode(1)
+        node.bind(row, random.Random(0))
+        assert node.known is row
+        row.add(9)
+        assert 9 in node.known
+
+    def test_bind_rejects_a_row_without_the_node(self):
+        with pytest.raises(ValueError, match="itself"):
+            EchoNode(1).bind({2, 3}, random.Random(0))
+
+    def test_absorb_is_a_hook_that_learns_nothing(self):
         node = self._bound()
         node.absorb(Message(kind="x", sender=9, recipient=1, ids=(10, 11)))
-        assert {9, 10, 11} <= node.known
+        assert node.known == {1, 2, 3}
 
     def test_send_queues_and_drains(self):
         node = self._bound()
@@ -69,18 +83,11 @@ class TestProtocolNode:
         # queued via send() or returned from on_round — comes back in one
         # outbox (queued first), and nothing is left behind.
         node = MergeNode(1)
-        node.bind((2, 3), random.Random(0))
+        node.bind({1, 2, 3}, random.Random(0))
         outbox = node.run_round(1, [])
         assert [m.kind for m in outbox] == ["queued", "returned"]
         assert [m.recipient for m in outbox] == [2, 3]
         assert node.drain_outbox() == []
-
-    def test_learn_adds_ids_and_sender(self):
-        node = self._bound()
-        node.learn((7,), sender=8)
-        assert {7, 8} <= node.known
-        node.learn(sender=None)  # no-op
-        assert node.known == {1, 2, 3, 7, 8}
 
     def test_others_known_excludes_self(self):
         node = self._bound()

@@ -1,10 +1,14 @@
-"""Import footprint: the package loads neither scipy nor networkx.
+"""Footprint: what the package loads, and what a run keeps in memory.
 
-scipy serves only the t-quantile of a confidence interval
+The package loads neither scipy nor networkx.  scipy serves only the
+t-quantile of a confidence interval
 (:func:`repro.analysis.stats.aggregate`) and networkx only the two
 converters in :mod:`repro.graphs.io`, so both are imported inside the
-functions that use them.  Each case runs in a fresh interpreter, because
-this test process has long since imported both.
+functions that use them.  And a run on the fast store keeps each
+machine's knowledge once, in the store's masks: no protocol node holds
+a ``set`` of what it knows.  Each case runs in a fresh interpreter,
+because this test process has long since imported both and holds sets
+of its own.
 """
 
 from __future__ import annotations
@@ -84,3 +88,29 @@ def test_cli_run_without_scipy_and_networkx():
         block_optional=True,
     )
     assert "completed : True" in out
+
+
+def test_fast_store_run_keeps_no_knowledge_sets():
+    n = 256
+    out = _run(
+        f"""
+        import gc
+        from repro.algorithms.registry import get_algorithm
+        from repro.graphs import make_topology
+        from repro.sim.engine import SynchronousEngine
+        engine = SynchronousEngine(
+            make_topology("kout", {n}, seed=1),
+            get_algorithm("sublog").node_factory(),
+            seed=1,
+            backend="fast",
+        )
+        assert engine.run().completed
+        print(sum(type(node.known) is set for node in engine.nodes.values()))
+        print(sum(len(obj) for obj in gc.get_objects() if type(obj) is set))
+        """
+    )
+    nodes_with_sets, ids_in_sets = map(int, out.split())
+    assert nodes_with_sets == 0
+    # Complete knowledge held in per-node sets would be n * n ids; what
+    # remains is protocol state (rosters, pools, contacts).
+    assert ids_in_sets < n * n // 4
