@@ -16,22 +16,11 @@ import repro
 from repro.algorithms.registry import get_algorithm
 from repro.bench.replay import record_run, replay_engine
 from repro.graphs import make_topology
-from repro.sim import BACKENDS, SynchronousEngine, vector_available
+from repro.sim import BACKENDS, SynchronousEngine
 
 N = 256
 SEED = 11
 STEADY_WINDOW = 5  # replayed tail rounds; see recorded_namedropper
-
-BACKEND_PARAMS = [
-    pytest.param(
-        backend,
-        id=backend,
-        marks=()
-        if backend != "vector" or vector_available()
-        else pytest.mark.skip(reason="numpy unavailable"),
-    )
-    for backend in BACKENDS
-]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +45,7 @@ def recorded_namedropper(kout_graph):
     )
 
 
-@pytest.mark.parametrize("backend", BACKEND_PARAMS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_b1_engine_rounds_namedropper(benchmark, kout_graph, backend):
     """Cost of executing 5 gossip rounds (heavy pointer traffic)."""
 
@@ -75,7 +64,7 @@ def test_b1_engine_rounds_namedropper(benchmark, kout_graph, backend):
     assert benchmark(run_five_rounds) == 5
 
 
-@pytest.mark.parametrize("backend", BACKEND_PARAMS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_b1_steady_state_replay(benchmark, recorded_namedropper, backend):
     """Engine-only round throughput in the run's heaviest regime.
 

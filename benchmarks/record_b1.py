@@ -2,26 +2,24 @@
 
 Measures the engine's round throughput on the steady-state replay kernel
 (the final, heaviest rounds of a recorded Name-Dropper run — see
-``docs/PERF.md``) and on the cold-start kernel, on all three engine
-backends and both legality modes, plus the synthetic steady-state
-kernels (:mod:`repro.bench.steady`) at n = 10^5 where recording a real
-run is out of reach.  Writes one machine-readable JSON record including
-the git revision it was measured at::
+``docs/PERF.md``) and on the cold-start kernel, on both engine backends
+and both legality modes, plus the synthetic catch-up kernel
+(:mod:`repro.bench.steady`) on the fast backend at n = 10^5, where
+recording a real run is out of reach.  Writes one machine-readable JSON
+record including the git revision it was measured at::
 
     PYTHONPATH=src python benchmarks/record_b1.py --out BENCH_B1.json
 
 The committed file is documentation plus one CI gate
 (``benchmarks/check_b1_regression.py`` re-times the n=256 kernel and
 fails on a large ns/pointer regression): absolute numbers are
-machine-dependent, but the backend *ratios* are what the dense paths
-promise — fast >= 3x over legacy at n=256, and vector >= 10x over fast
-at n = 10^5 in the catch-up regime at below the fast path's n=4096
-per-pointer cost.
+machine-dependent, but the backend *ratio* is what the fast store
+promises — fast >= 3x over legacy at n=256.
 
-n = 10^6 remains out of reach on one box: the packed knowledge matrix
-alone is n * n/8 = 125 GB, matching this machine's entire RAM before
-accounting for the engine or the payloads.  The stretch row is therefore
-documented as infeasible rather than measured; see docs/PERF.md.
+n = 10^6 remains out of reach on one box: the knowledge rows alone are
+n * n/8 = 125 GB at one bit per machine, before accounting for the
+engine or the payloads.  The stretch row is therefore documented as
+infeasible rather than measured; see docs/PERF.md.
 """
 
 from __future__ import annotations
@@ -43,44 +41,24 @@ from repro.algorithms.registry import get_algorithm  # noqa: E402
 from repro.bench.replay import RecordedRun, record_run, replay_engine  # noqa: E402
 from repro.bench.steady import SteadySpec, build_steady_engine  # noqa: E402
 from repro.graphs import make_topology  # noqa: E402
-from repro.sim import SynchronousEngine, vector_available  # noqa: E402
+from repro.sim import BACKENDS, SynchronousEngine  # noqa: E402
 
 SEED = 11
 STEADY_WINDOW = 5
 ACCEPTANCE_SPEEDUP = 3.0
-VECTOR_ACCEPTANCE_SPEEDUP = 10.0
-#: The fast path's measured steady-state cost at n=4096 (the best it
-#: achieves at any size); the vector backend must do better at n=1e5.
-FAST_N4096_NS_PER_POINTER = 2.9
 #: Best-of repeat counts per size (large-n windows are seconds long).
 REPEATS = {256: 7, 1024: 3, 4096: 1}
 
-#: The two synthetic large-n workloads.  ``catchup`` is the comparable
-#: row — half the network missing a shared 40k-id block while complete
-#: nodes broadcast full knowledge; both dense backends can run it.
-#: ``broadcast`` is the true steady-state regime — every complete node
-#: gossips the full id space every round; only the vector backend can
-#: afford the per-message payload translation at this n, so its row is
-#: vector-only (the fast path's O(|ids|) per-message conversion alone
-#: would cost hours per round).
-LARGE_N_SPECS = {
-    "catchup": dict(
-        window=2,
-        senders_per_round=2048,
-        pointers_per_message=None,
-        laggards_fraction=0.5,
-        missing_per_laggard=40_000,
-        shared_missing=True,
-    ),
-    "broadcast": dict(
-        window=2,
-        senders_per_round=None,
-        pointers_per_message=None,
-        laggards_fraction=None,  # fixed small population
-        missing_per_laggard=4096,
-        shared_missing=False,
-    ),
-}
+#: The synthetic large-n workload: half the network missing a shared
+#: 40k-id block while 2048 complete nodes a round broadcast full
+#: knowledge.
+CATCHUP_SPEC = dict(
+    window=2,
+    senders_per_round=2048,
+    pointers_per_message=None,
+    missing_per_laggard=40_000,
+    shared_missing=True,
+)
 
 
 def best_of(make_engine: Callable[[], SynchronousEngine],
@@ -97,13 +75,6 @@ def best_of(make_engine: Callable[[], SynchronousEngine],
     return best
 
 
-def replay_backends() -> List[str]:
-    backends = ["legacy", "fast"]
-    if vector_available():
-        backends.append("vector")
-    return backends
-
-
 def steady_case(recorded: RecordedRun, n: int, enforce: bool,
                 repeats: int) -> Dict[str, object]:
     start = recorded.rounds - STEADY_WINDOW + 1
@@ -111,7 +82,7 @@ def steady_case(recorded: RecordedRun, n: int, enforce: bool,
         stats.pointers for stats in recorded.result.round_stats[start - 1:]
     )
     timings = {}
-    for backend in replay_backends():
+    for backend in BACKENDS:
         timings[backend] = best_of(
             lambda: replay_engine(
                 recorded, start_round=start, backend=backend, force=True,
@@ -120,7 +91,7 @@ def steady_case(recorded: RecordedRun, n: int, enforce: bool,
             STEADY_WINDOW,
             repeats,
         )
-    case: Dict[str, object] = {
+    return {
         "kernel": "steady_replay",
         "n": n,
         "seed": SEED,
@@ -141,14 +112,6 @@ def steady_case(recorded: RecordedRun, n: int, enforce: bool,
             timings["fast"] * 1e9 / window_pointers, 1
         ),
     }
-    if "vector" in timings:
-        case["vector_ms"] = round(timings["vector"] * 1e3, 3)
-        case["speedup_vector"] = round(timings["legacy"] / timings["vector"], 2)
-        case["vector_over_fast"] = round(timings["fast"] / timings["vector"], 2)
-        case["ns_per_pointer_vector"] = round(
-            timings["vector"] * 1e9 / window_pointers, 2
-        )
-    return case
 
 
 def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
@@ -157,7 +120,7 @@ def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
     the backends are expected to be close here."""
     spec = get_algorithm("namedropper")
     timings = {}
-    for backend in replay_backends():
+    for backend in BACKENDS:
         timings[backend] = best_of(
             lambda: SynchronousEngine(
                 graph, spec.node_factory(), seed=SEED,
@@ -166,7 +129,7 @@ def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
             5,
             repeats,
         )
-    case: Dict[str, object] = {
+    return {
         "kernel": "cold_start_5_rounds",
         "n": n,
         "seed": SEED,
@@ -175,35 +138,20 @@ def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
         "fast_ms": round(timings["fast"] * 1e3, 3),
         "speedup": round(timings["legacy"] / timings["fast"], 2),
     }
-    if "vector" in timings:
-        case["vector_ms"] = round(timings["vector"] * 1e3, 3)
-        case["vector_over_fast"] = round(timings["fast"] / timings["vector"], 2)
-    return case
 
 
-def large_n_spec(name: str, n: int) -> SteadySpec:
-    params = LARGE_N_SPECS[name]
-    fraction = params["laggards_fraction"]
-    laggards = int(n * fraction) if fraction is not None else 64
-    return SteadySpec(
-        n=n,
-        window=params["window"],
-        senders_per_round=params["senders_per_round"],
-        pointers_per_message=params["pointers_per_message"],
-        laggards=laggards,
-        missing_per_laggard=params["missing_per_laggard"],
-        shared_missing=params["shared_missing"],
-        seed=SEED,
-    )
-
-
-def synthetic_case(name: str, n: int) -> Dict[str, object]:
-    """One synthetic steady-state row at large n (single-shot timing —
-    a window is seconds long and the injected state is deterministic)."""
-    spec = large_n_spec(name, n)
-    backends = ["vector"] if name == "broadcast" else ["fast", "vector"]
-    case: Dict[str, object] = {
-        "kernel": f"steady_synthetic_{name}",
+def catchup_case(n: int) -> Dict[str, object]:
+    """The synthetic catch-up row at large n on the fast backend
+    (single-shot timing — a window is seconds long and the injected
+    state is deterministic)."""
+    spec = SteadySpec(n=n, laggards=n // 2, seed=SEED, **CATCHUP_SPEC)
+    engine, window_pointers = build_steady_engine(spec, "fast")
+    started = time.perf_counter()
+    for _ in range(spec.window):
+        engine.step()
+    elapsed = time.perf_counter() - started
+    return {
+        "kernel": "steady_synthetic_catchup",
         "n": n,
         "seed": SEED,
         "enforce_legality": False,
@@ -213,31 +161,10 @@ def synthetic_case(name: str, n: int) -> Dict[str, object]:
         "laggards": spec.laggards,
         "bytes_per_node": spec.bytes_per_node,
         "matrix_mb": spec.matrix_mb,
+        "fast_ms": round(elapsed * 1e3, 1),
+        "ns_per_pointer_fast": round(elapsed * 1e9 / window_pointers, 3),
+        "window_pointers": window_pointers,
     }
-    window_pointers = None
-    for backend in backends:
-        engine, window_pointers = build_steady_engine(spec, backend)
-        started = time.perf_counter()
-        for _ in range(spec.window):
-            engine.step()
-        elapsed = time.perf_counter() - started
-        del engine  # free the ~GB state before the next backend builds
-        case[f"{backend}_ms"] = round(elapsed * 1e3, 1)
-        case[f"ns_per_pointer_{backend}"] = round(
-            elapsed * 1e9 / window_pointers, 3
-        )
-    case["window_pointers"] = window_pointers
-    if "fast_ms" in case:
-        case["vector_over_fast"] = round(
-            case["fast_ms"] / case["vector_ms"], 2  # type: ignore[operator]
-        )
-    else:
-        case["fast_ms"] = None
-        case["note"] = (
-            "fast path infeasible: O(|ids|) per-message payload "
-            "translation at full-knowledge payloads costs hours per round"
-        )
-    return case
 
 
 def git_rev() -> Optional[str]:
@@ -256,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--large-n", nargs="+", type=int, default=[100_000],
                         help="sizes for the synthetic steady-state rows")
     parser.add_argument("--skip-large", action="store_true",
-                        help="skip the synthetic large-n rows")
+                        help="skip the synthetic large-n row")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_B1.json"))
     args = parser.parse_args(argv)
 
@@ -279,41 +206,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             case = steady_case(recorded, n, enforce, repeats)
             results.append(case)
             print(f"  steady enforce={enforce}: legacy {case['legacy_ms']}ms "
-                  f"fast {case['fast_ms']}ms "
-                  f"vector {case.get('vector_ms', '-')}ms "
-                  f"-> {case['speedup']}x", flush=True)
+                  f"fast {case['fast_ms']}ms -> {case['speedup']}x", flush=True)
         case = cold_start_case(graph, n, repeats)
         results.append(case)
         print(f"  cold-start: legacy {case['legacy_ms']}ms "
               f"fast {case['fast_ms']}ms -> {case['speedup']}x", flush=True)
 
-    if not args.skip_large and vector_available():
+    if not args.skip_large:
         for n in args.large_n:
-            for name in ("catchup", "broadcast"):
-                print(f"n={n}: synthetic {name} kernel...", flush=True)
-                case = synthetic_case(name, n)
-                results.append(case)
-                print(f"  fast {case['fast_ms']}ms "
-                      f"vector {case['vector_ms']}ms "
-                      f"({case['ns_per_pointer_vector']} ns/ptr vector)",
-                      flush=True)
+            print(f"n={n}: synthetic catchup kernel...", flush=True)
+            case = catchup_case(n)
+            results.append(case)
+            print(f"  fast {case['fast_ms']}ms "
+                  f"({case['ns_per_pointer_fast']} ns/ptr)", flush=True)
 
     acceptance = next(
         (case for case in results
          if case["kernel"] == "steady_replay" and case["n"] == 256
          and not case["enforce_legality"]),
         None,
-    )
-    vector_case = next(
-        (case for case in results
-         if case["kernel"] == "steady_synthetic_catchup"),
-        None,
-    )
-    vector_pass = bool(
-        vector_case
-        and vector_case.get("vector_over_fast") is not None
-        and vector_case["vector_over_fast"] >= VECTOR_ACCEPTANCE_SPEEDUP
-        and vector_case["ns_per_pointer_vector"] <= FAST_N4096_NS_PER_POINTER
     )
     payload = {
         "benchmark": "B1",
@@ -324,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "git_rev": git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backends": replay_backends(),
+        "backends": list(BACKENDS),
         "acceptance": {
             "kernel": "steady_replay n=256 enforce_legality=false",
             "backend": "fast",
@@ -335,28 +246,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 acceptance and acceptance["speedup"] >= ACCEPTANCE_SPEEDUP
             ),
         },
-        "vector_acceptance": {
-            "kernel": "steady_synthetic_catchup n=1e5",
-            "backend": "vector",
-            "baseline_backend": "fast",
-            "required_speedup": VECTOR_ACCEPTANCE_SPEEDUP,
-            "required_ns_per_pointer": FAST_N4096_NS_PER_POINTER,
-            "measured_speedup": (
-                vector_case.get("vector_over_fast") if vector_case else None
-            ),
-            "measured_ns_per_pointer": (
-                vector_case.get("ns_per_pointer_vector") if vector_case else None
-            ),
-            "pass": vector_pass,
-        },
         "results": results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    ok = payload["acceptance"]["pass"] and (
-        args.skip_large or not vector_available() or vector_pass
-    )
-    return 0 if ok else 1
+    return 0 if payload["acceptance"]["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ class DiscoveryNode(ProtocolNode):
         if len(known) != self._views_size:
             self._views_size = len(known)
             self._snapshot = None
-            # The fast and vector stores' rows iterate in ascending id
-            # order, which makes the sort a linear pass.
+            # The fast store's rows iterate in ascending id order,
+            # which makes the sort a linear pass.
             peers = list(known)
             peers.sort()
             del peers[bisect_left(peers, self.node_id)]

@@ -6,7 +6,7 @@ recover a sorted-list/de-Bruijn overlay with O(n) messages in the worst
 case by funnelling every identifier to a deterministic anchor and
 re-broadcasting along the recovered structure.  This module keeps the
 load-bearing ideas — **deterministic anchoring** (all knowledge converges
-on the smallest known identifier; no coin flips anywhere, so all three
+on the smallest known identifier; no coin flips anywhere, so both
 engine backends and the live runtime are digest-identical by
 construction) and **aggregate-then-broadcast** (one gated dissemination
 wave instead of re-flooding on every change) — inside the repository's

@@ -37,9 +37,10 @@ ALGORITHMS = ("sublog", "sublogcoin", "namedropper", "swamping", "flooding", "rp
 #: Per-algorithm size caps (see runner.sweep).  Classic swamping's pointer
 #: complexity is cubic and rpj's rounds can be linear; past these sizes
 #: they only burn wall clock.  The namedropper/sublogcoin caps bite only
-#: at the ``large`` scale, where a single honest run costs minutes of
-#: protocol-side (backend-independent) set bookkeeping per extra
-#: doubling; sublog — the headline curve — runs uncapped.
+#: at the ``large`` scale, where each extra doubling costs a single
+#: honest run minutes of protocol traffic (in-flight knowledge payloads
+#: and the per-pointer legality and learning work over them, on any
+#: backend); sublog — the headline curve — runs uncapped.
 SIZE_CAPS = {
     "swamping": 512,
     "rpj": 1024,

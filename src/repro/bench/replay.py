@@ -179,8 +179,7 @@ def replay_engine(
     recorded: RecordedRun,
     *,
     start_round: int = 1,
-    fast_path: bool = False,
-    backend: Optional[str] = None,
+    backend: str = "legacy",
     force: bool = False,
     enforce_legality: bool = False,
     profile: bool = False,
@@ -191,17 +190,15 @@ def replay_engine(
     remainder of the run; metrics and final ground truth then match the
     recorded tail exactly on any backend.
 
-    ``backend`` selects the replay backend explicitly (``fast_path``
-    remains the boolean alias).  Replaying against a backend other than
-    ``recorded.backend`` raises unless ``force=True``: the B1 kernels do
-    this on purpose (the whole point is timing fast/vector engines on a
-    legacy-recorded schedule) and say so with ``force``; anything else is
-    probably comparing apples to a different engine by accident.
+    ``backend`` selects the replay backend.  Replaying against a backend
+    other than ``recorded.backend`` raises unless ``force=True``: the B1
+    kernels do this on purpose (the whole point is timing the fast
+    engine on a legacy-recorded schedule) and say so with ``force``;
+    anything else is probably comparing apples to a different engine by
+    accident.
     """
     window = recorded.window(start_round)  # validates start_round
     del window
-    if backend is None:
-        backend = "fast" if fast_path else "legacy"
     if backend != recorded.backend and not force:
         raise ValueError(
             f"recording was made on the {recorded.backend!r} backend but the "

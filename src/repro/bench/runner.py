@@ -6,10 +6,10 @@ processes.  Runs in the harness disable the per-message legality check by
 default — the model conformance of every shipped algorithm is established
 by the test suite (including the strict ball-containment observer), so the
 harness pays for it only in experiment F4, which is *about* the invariant.
-For the same reason the harness runs on the engine's dense fast path by
-default: the differential suite holds it bit-identical to the reference
-path, and the experiments exist to measure protocols, not to re-prove the
-engine.
+For the same reason the harness runs on the engine's fast store by
+default (the set store when numpy is missing): the differential suite
+holds it bit-identical to the reference store, and the experiments exist
+to measure protocols, not to re-prove the engine.
 
 Parallel sweeps are deterministic: every cell's randomness derives from
 the cell's own seed (see :func:`sweep_seeds` for deriving a seed list from
@@ -43,37 +43,6 @@ from ..sim.metrics import RunResult
 from ..sim.observers import Observer
 from ..sim.rng import derive_seed
 from ..sim.transport import DeliveryModel
-from ..sim.vector_kernel import vector_available
-
-#: Size at which harness runs upgrade from the fast path to the vector
-#: backend when no explicit backend is requested.  The crossover point:
-#: below it the fast path's per-message Python-int ops win on constant
-#: factors; above it the vector backend's batched screens dominate (and
-#: the fast path's pow2 table ages out at n > 2**14 anyway).  Gated on
-#: the oracle's vector-vs-fast differential coverage — see
-#: :func:`repro.oracle.differential.diff_vector_vs_fast`.
-VECTOR_DEFAULT_MIN_N = 8192
-
-
-def resolve_backend(
-    n: int, backend: Optional[str] = None, *, fast_path: bool = True
-) -> str:
-    """The engine backend a harness run of size *n* executes on.
-
-    An explicit *backend* always wins.  Otherwise ``fast_path=False``
-    selects the reference path, and the default fast path auto-upgrades
-    to ``vector`` at ``n >= VECTOR_DEFAULT_MIN_N``.  Both numpy-backed
-    backends need numpy; without it every default run takes the
-    reference path, so a numpy-less environment still benches rather
-    than erroring.
-    """
-    if backend is not None:
-        return backend
-    if not fast_path or not vector_available():
-        return "legacy"
-    if n >= VECTOR_DEFAULT_MIN_N:
-        return "vector"
-    return "fast"
 
 
 @dataclass(frozen=True)
@@ -154,7 +123,6 @@ def run_case(
     delivery: Optional[Union[str, DeliveryModel]] = None,
     observers: Iterable[Observer] = (),
     enforce_legality: bool = False,
-    fast_path: bool = True,
     backend: Optional[str] = None,
     max_rounds: Optional[int] = None,
     graph: Optional[KnowledgeGraph] = None,
@@ -164,7 +132,7 @@ def run_case(
     The ``delivery`` keyword overrides ``case.delivery`` when given;
     ``jitter`` remains the legacy alias and is mutually exclusive with
     both (enforced by the engine).  ``backend`` pins the engine backend;
-    by default :func:`resolve_backend` picks one from the case size.
+    by default :func:`repro.discover` picks the fast store.
     """
     from .. import discover  # local import: repro re-exports this module
 
@@ -182,21 +150,16 @@ def run_case(
         delivery=delivery,
         observers=observers,
         enforce_legality=enforce_legality,
-        backend=resolve_backend(case.n, backend, fast_path=fast_path),
+        backend=backend,
         max_rounds=max_rounds,
         **dict(case.params),
     )
 
 
-def _run_sweep_case(payload: Tuple[Case, bool, bool, Optional[str]]) -> RunResult:
+def _run_sweep_case(payload: Tuple[Case, bool, Optional[str]]) -> RunResult:
     """Module-level worker body (must be picklable for spawn workers)."""
-    case, enforce_legality, fast_path, backend = payload
-    return run_case(
-        case,
-        enforce_legality=enforce_legality,
-        fast_path=fast_path,
-        backend=backend,
-    )
+    case, enforce_legality, backend = payload
+    return run_case(case, enforce_legality=enforce_legality, backend=backend)
 
 
 def build_cases(
@@ -252,7 +215,6 @@ def sweep(
     size_caps: Optional[Mapping[str, int]] = None,
     workers: Optional[int] = None,
     enforce_legality: bool = False,
-    fast_path: bool = True,
     backend: Optional[str] = None,
     delivery: Optional[Union[str, DeliveryModel]] = None,
     retries: int = 0,
@@ -325,7 +287,6 @@ def sweep(
             resume=resume,
             progress=progress,
             enforce_legality=enforce_legality,
-            fast_path=fast_path,
             backend=backend,
             fault_hook=_test_fault_hook,
         )
@@ -335,7 +296,7 @@ def sweep(
         return report.results
 
     if workers is not None and workers > 1 and len(cases) > 1:
-        payloads = [(case, enforce_legality, fast_path, backend) for case in cases]
+        payloads = [(case, enforce_legality, backend) for case in cases]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_sweep_case, payloads))
 
@@ -352,7 +313,6 @@ def sweep(
                 case,
                 graph=graph,
                 enforce_legality=enforce_legality,
-                fast_path=fast_path,
                 backend=backend,
             )
         )

@@ -6,16 +6,16 @@ Experiments run at three scales:
   the default for ``pytest benchmarks/``.
 * ``full`` — the sizes reported in EXPERIMENTS.md (minutes).
 * ``large`` — extends the sweep 8× past ``full``'s ceiling (n up to
-  16 384, single seed; tens of minutes).  The engine side is feasible
-  because the bench runner upgrades cells to the bit-packed vector
-  backend at n ≥ 8192 (``runner.resolve_backend``); wall clock is
-  dominated by the *protocol* side (per-node Python set bookkeeping is
-  O(total learning) on any backend), which is what the per-algorithm
-  size caps in T1/F1 bound.  n = 32 768 honest runs were measured to
-  exceed this box's 125 GB of RAM — not in the engine matrix (128 MB)
-  but in protocol-side sets and in-flight full-knowledge payloads —
-  so steady-state scaling beyond that is B1's synthetic-kernel
-  territory (``repro.bench.steady``), not the sweep's.
+  16 384, single seed; tens of minutes).  Every cell runs on the fast
+  store, whose knowledge rows are the only copy (n²/8 bytes, 32 MiB at
+  n = 16 384).  Wall clock and memory go to the protocols' traffic: the
+  payloads in flight (sublog's completion broadcast holds n − 1 tuples
+  of n − 1 ids at once; the gossip baselines send knowledge snapshots)
+  and the per-pointer legality and learning work over them.  That is
+  what the per-algorithm size caps in T1/F1 bound.  At n = 32 768 the
+  broadcast's tuples alone take 8 GiB, so steady-state scaling beyond
+  that is B1's synthetic-kernel territory (``repro.bench.steady``), not
+  the sweep's.
 
 Select with the ``REPRO_BENCH_SCALE`` environment variable or the CLI's
 ``--scale`` flag.  Seeds are fixed constants so that every report is

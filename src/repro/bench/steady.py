@@ -13,7 +13,7 @@ pointer volume, almost every delivery teaching nothing — without paying
 for the ramp-up.
 
 Knowledge is injected through the engine's knowledge store, which
-rebuilds all derived counters, so the three backends start
+rebuilds all derived counters, so the two backends start
 digest-identical and stay digest-identical through the window (asserted
 by ``tests/bench/test_steady.py``).  The scheduled nodes do no protocol
 work of their own — they never read their rows — so a timed window
@@ -49,8 +49,9 @@ class SteadySpec:
             ``None`` means every complete node sends every round.
         pointers_per_message: Ids carried per message, as a contiguous
             (wrapping) slice of the id space rotated per round.  ``None``
-            means the full id space — the true steady-state payload, but
-            only the vector backend can afford it at large n.
+            means the full id space — the true steady-state payload,
+            which the fast store converts to a mask once per teaching
+            delivery, so keep ``senders_per_round`` small at large n.
         laggards: Number of tail nodes still missing knowledge.  They
             receive but never send, and they are the only nodes for whom
             a delivery can teach anything.
@@ -75,12 +76,12 @@ class SteadySpec:
 
     @property
     def bytes_per_node(self) -> int:
-        """Packed-row width of one node's knowledge on the vector backend."""
+        """Bytes to hold one node's knowledge at one bit per machine."""
         return (self.n + 7) >> 3
 
     @property
     def matrix_mb(self) -> float:
-        """Vector-backend knowledge-matrix footprint in MiB."""
+        """All n nodes' knowledge at one bit per machine, in MiB."""
         return round(self.n * self.bytes_per_node / (1 << 20), 1)
 
 
@@ -148,8 +149,8 @@ def inject_steady_state(
     the engine's store rebuilds all derived counters, so the engine is
     indistinguishable from one that ran its way into this state
     (:meth:`~repro.sim.store.KnowledgeStore.inject_near_complete`).
-    Works on all three backends.  Nodes sharing one missing-set object
-    form one group, so on the fast and vector backends shared samples
+    Works on both backends.  Nodes sharing one missing-set object
+    form one group, so on the fast backend shared samples
     are translated once and the cost stays O(n + distinct samples), not
     O(n^2); the legacy backend fills one set per node.
     """

@@ -319,7 +319,6 @@ def _execute_cell(
         str,
         Case,
         bool,
-        bool,
         Optional[str],
         int,
         Optional[float],
@@ -334,7 +333,6 @@ def _execute_cell(
         key,
         case,
         enforce_legality,
-        fast_path,
         backend,
         retries,
         cell_timeout,
@@ -345,12 +343,7 @@ def _execute_cell(
         # stand-in for a slow cell and must trip the timeout like one.
         if fault_hook is not None:
             fault_hook(case, attempt)
-        return run_case(
-            case,
-            enforce_legality=enforce_legality,
-            fast_path=fast_path,
-            backend=backend,
-        )
+        return run_case(case, enforce_legality=enforce_legality, backend=backend)
 
     last: Optional[BaseException] = None
     for attempt in range(retries + 1):
@@ -411,7 +404,6 @@ class SweepRunner:
     resume: bool = False
     progress: Optional[Callable[[SweepProgress], None]] = None
     enforce_legality: bool = False
-    fast_path: bool = True
     backend: Optional[str] = None
     fault_hook: Optional[Callable[[Case, int], None]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -561,7 +553,6 @@ class SweepRunner:
                 "retries": self.retries,
                 "cell_timeout": self.cell_timeout,
                 "enforce_legality": self.enforce_legality,
-                "fast_path": self.fast_path,
                 "backend": self.backend,
             },
             "git": _git_describe(),
@@ -604,7 +595,6 @@ class SweepRunner:
             key,
             case,
             self.enforce_legality,
-            self.fast_path,
             self.backend,
             self.retries,
             self.cell_timeout,

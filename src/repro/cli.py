@@ -45,6 +45,7 @@ from .algorithms.registry import ALGORITHMS, algorithm_names
 from .bench.experiments import EXPERIMENTS, get_experiment
 from .bench.seeds import SCALES, bench_scale
 from .graphs.generators import TOPOLOGIES, make_topology
+from .sim.engine import BACKENDS
 from .sim.faults import FaultPlan
 from .sim.transport import DELIVERY_MODELS, parse_delivery
 from .workloads import workload_names
@@ -100,13 +101,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.sparkline:
         size_observer = KnowledgeSizeObserver()
         observers.append(size_observer)
-    if args.backend is not None and args.legacy_engine:
-        print("error: pass either --backend or --legacy-engine, not both",
-              file=sys.stderr)
-        return 2
-    backend = args.backend
-    if backend is None and args.legacy_engine:
-        backend = "legacy"
     started = time.perf_counter()
     result = discover(
         graph,
@@ -116,7 +110,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         delivery=args.delivery,
         observers=observers,
-        backend=backend,
+        backend=args.backend,
         profile=args.profile,
         **params,
     )
@@ -603,15 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--backend",
         default=None,
-        choices=("legacy", "fast", "vector"),
-        help="engine backend: legacy (reference per-id loops), fast "
-        "(dense Python-int bitmasks, the default), or vector (bit-packed "
-        "numpy matrix for large n)",
-    )
-    run_parser.add_argument(
-        "--legacy-engine",
-        action="store_true",
-        help="alias for --backend legacy (kept for compatibility)",
+        choices=BACKENDS,
+        help="engine backend: legacy (reference per-id sets) or fast "
+        "(Python-int bitmasks, the default when numpy is available)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -712,9 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--backend",
         default=None,
-        choices=("legacy", "fast", "vector"),
-        help="pin every cell to one engine backend (default: auto — fast, "
-        "upgrading to vector at large n when numpy is available)",
+        choices=BACKENDS,
+        help="pin every cell to one engine backend (default: fast, or "
+        "legacy when numpy is missing)",
     )
     sweep_parser.set_defaults(handler=_cmd_sweep)
 

@@ -112,11 +112,10 @@ def densify(node_ids: Sequence[int]) -> Dict[int, int]:
 def dense_index(node_ids: Iterable[int]) -> Tuple[Tuple[int, ...], Dict[int, int]]:
     """Sorted id tuple plus its id → dense-index inverse, in one pass.
 
-    The simulator's dense fast and vector paths need both directions of
-    the remap: ``ordered[i]`` recovers the opaque id sitting at bit ``i``
-    of a knowledge bitmask (or matrix column), and ``index[id]`` finds an
-    id's bit.  Index ``i`` of the returned tuple always equals
-    ``densify(node_ids)[ordered[i]]``.
+    The simulator's fast store needs both directions of the remap:
+    ``ordered[i]`` recovers the opaque id sitting at bit ``i`` of a
+    knowledge bitmask, and ``index[id]`` finds an id's bit.  Index ``i``
+    of the returned tuple always equals ``densify(node_ids)[ordered[i]]``.
 
     Duplicate ids are rejected: two nodes sharing a bit would silently
     merge their knowledge in every bitmask representation, so a collision

@@ -253,7 +253,7 @@ def digest_knowledge(knowledge: Mapping[int, Iterable[int]]) -> str:
     (bit ``i`` = the ``i``-th smallest node id), and the per-machine masks
     are concatenated in ascending-id order before hashing.  This is the
     byte layout every host of the protocol core agrees on — the simulator's
-    three backends and the live asyncio runtime all reduce their final
+    two backends and the live asyncio runtime all reduce their final
     state to this digest, which is how cross-host runs are checked for
     bit-identity.  Ids naming no machine in ``knowledge`` are ignored,
     keeping the digest well-defined when legality enforcement is off.

@@ -6,7 +6,7 @@ Three layers, each usable on its own:
   observer that validates the per-round invariant catalog online and
   raises a structured, replayable :class:`OracleViolation`;
 * the differential runner (:mod:`repro.oracle.differential`) — steps
-  paired engines (fast path vs legacy, delivery model vs its lockstep
+  paired engines (fast store vs legacy, delivery model vs its lockstep
   reduction) and reports the first divergent round;
 * the schedule fuzzer (:mod:`repro.oracle.fuzzer`) — generates seeded
   adversarial scripts, runs them under the oracle and the differ, and
@@ -24,7 +24,6 @@ from .differential import (
     diff_engines,
     diff_fast_vs_legacy,
     diff_reduction,
-    diff_vector_vs_fast,
     engine_digest,
     lockstep_reduction,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "diff_engines",
     "diff_fast_vs_legacy",
     "diff_reduction",
-    "diff_vector_vs_fast",
     "engine_digest",
     "fuzz",
     "generate_script",

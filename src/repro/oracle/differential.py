@@ -1,8 +1,8 @@
 """Differential execution: run one cell twice, diff every round.
 
-The engine ships two execution paths (dense fast path vs legacy per-id
-loops) and five delivery models, several of which degenerate to lockstep
-at zero parameters.  Equivalence claims like these rot silently; the
+The engine ships two knowledge stores (the fast bitmask store vs the
+legacy per-id sets) and five delivery models, several of which
+degenerate to lockstep at zero parameters.  Equivalence claims like these rot silently; the
 differential runner makes them mechanical.  It steps two engines built
 from the same :class:`~repro.oracle.script.ScheduleScript` in lockstep,
 captures a :class:`RoundDigest` of each after every round — knowledge
@@ -10,13 +10,10 @@ state via :meth:`~repro.sim.engine.SynchronousEngine.knowledge_digest`
 plus the complete metrics ledger — and reports the first divergent round
 and field.
 
-Three standard pairings:
+Two standard pairings:
 
-* :func:`diff_fast_vs_legacy` — the dense fast path against the
-  reference path on the script's own schedule;
-* :func:`diff_vector_vs_fast` — the bit-packed numpy vector backend
-  against the fast path on the script's own schedule (the safety net
-  that gates ``vector`` becoming the bench default at large n);
+* :func:`diff_fast_vs_legacy` — the fast store against the reference
+  store on the script's own schedule;
 * :func:`diff_reduction` — the script's delivery-model family at its
   degenerate parameterization (``jitter:0``, ``adversarial:0``,
   ``perlink:0``, an out-of-horizon partition window) against plain
@@ -167,31 +164,18 @@ def diff_engines(
 def diff_fast_vs_legacy(
     script: ScheduleScript, *, enforce_legality: bool = True
 ) -> DiffReport:
-    """The dense fast path against the reference path on one script."""
-    return diff_engines(
-        script.build_engine(fast_path=True, enforce_legality=enforce_legality),
-        script.build_engine(fast_path=False, enforce_legality=enforce_legality),
-        max_rounds=script.resolved_max_rounds(),
-        label_a="fast-path",
-        label_b="legacy",
-    )
-
-
-def diff_vector_vs_fast(
-    script: ScheduleScript, *, enforce_legality: bool = True
-) -> DiffReport:
-    """The bit-packed vector backend against the fast path on one script.
+    """The fast store against the reference store on one script.
 
     Raises :class:`ImportError` when numpy is unavailable; callers that
     must degrade gracefully should guard on
-    :func:`repro.sim.vector_kernel.vector_available` first.
+    :func:`repro.sim.mask_store.numpy_available` first.
     """
     return diff_engines(
-        script.build_engine(backend="vector", enforce_legality=enforce_legality),
         script.build_engine(backend="fast", enforce_legality=enforce_legality),
+        script.build_engine(backend="legacy", enforce_legality=enforce_legality),
         max_rounds=script.resolved_max_rounds(),
-        label_a="vector",
-        label_b="fast-path",
+        label_a="fast-path",
+        label_b="legacy",
     )
 
 

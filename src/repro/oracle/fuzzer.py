@@ -44,8 +44,8 @@ from ..sim.engine import SynchronousEngine
 from ..sim.metrics import RunResult
 from ..sim.observers import Observer
 from ..sim.rng import derive_rng
-from ..sim.vector_kernel import vector_available
-from .differential import diff_fast_vs_legacy, diff_reduction, diff_vector_vs_fast
+from ..sim.mask_store import numpy_available
+from .differential import diff_fast_vs_legacy, diff_reduction
 from .invariants import InvariantOracle, OracleViolation
 from .script import ScheduleScript
 
@@ -167,7 +167,7 @@ def generate_script(
 def run_script(
     script: ScheduleScript,
     *,
-    fast_path: bool = True,
+    backend: Optional[str] = None,
     enforce_legality: bool = True,
     strict: bool = True,
     observers: Sequence[Observer] = (),
@@ -175,14 +175,16 @@ def run_script(
 ) -> Tuple[RunResult, InvariantOracle]:
     """Run one script under the invariant oracle.
 
-    ``engine_hook`` receives the constructed engine before the run starts
-    — the fuzzer self-tests use it to inject deliberate transport bugs
-    and prove the oracle catches them.  With ``strict=True`` the first
+    ``backend`` picks the knowledge store, as in
+    :meth:`ScheduleScript.build_engine`.  ``engine_hook`` receives the
+    constructed engine before the run starts — the fuzzer self-tests use
+    it to inject deliberate transport bugs and prove the oracle catches
+    them.  With ``strict=True`` the first
     violation raises :class:`OracleViolation` out of the run.
     """
     oracle = InvariantOracle(script=script, strict=strict)
     engine = script.build_engine(
-        fast_path=fast_path,
+        backend=backend,
         enforce_legality=enforce_legality,
         observers=(oracle, *observers),
     )
@@ -221,23 +223,19 @@ def check_script(
     """Run every check one fuzz case gets; ``None`` means clean.
 
     On failure returns ``(kind, detail)`` where *kind* is ``invariant``
-    (the oracle raised), ``divergence`` (fast path != legacy path),
-    ``vector-divergence`` (vector backend != fast path; both differential
-    checks are skipped when numpy is unavailable, since the fast and
-    vector backends need it), or ``reduction-divergence`` (degenerate
-    model != lockstep).
+    (the oracle raised), ``divergence`` (fast store != legacy store; the
+    differential check is skipped when numpy is unavailable, since the
+    fast store needs it), or ``reduction-divergence`` (degenerate model
+    != lockstep).
     """
     try:
         run_script(script, strict=True, engine_hook=engine_hook)
     except OracleViolation as violation:
         return ("invariant", str(violation))
-    if differential and vector_available():
+    if differential and numpy_available():
         report = diff_fast_vs_legacy(script)
         if not report.equal:
             return ("divergence", report.describe())
-        report = diff_vector_vs_fast(script)
-        if not report.equal:
-            return ("vector-divergence", report.describe())
     if reduction:
         report = diff_reduction(script)
         if report is not None and not report.equal:
@@ -368,7 +366,7 @@ class FuzzCase:
 
     index: int
     script: ScheduleScript
-    status: str  # ok | invariant | divergence | vector-divergence | reduction-divergence
+    status: str  # ok | invariant | divergence | reduction-divergence
     detail: Optional[str] = None
     shrunk: Optional[ScheduleScript] = None
 

@@ -45,7 +45,6 @@ from .transport import (
     PerLinkLatency,
     parse_delivery,
 )
-from .vector_kernel import vector_available
 
 __all__ = [
     "BACKENDS",
@@ -85,5 +84,4 @@ __all__ = [
     "message_bits",
     "parse_delivery",
     "read_jsonl",
-    "vector_available",
 ]

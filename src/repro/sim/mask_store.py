@@ -15,20 +15,43 @@ delivery can teach, and a zero candidate mask proves in a few word
 operations that it teaches nothing.  The legality guard turns payloads
 into masks and keeps them until their messages have arrived, so
 delivery usually learns with one ``AND``.  See docs/PERF.md §§2–4.
+
+numpy is a declared runtime dependency, but the simulator core must stay
+importable without it, and the set store runs without it.  This module
+therefore guards the import: :func:`numpy_available` reports whether the
+mask store can run, and :func:`require_numpy` raises one clear,
+actionable error when it is built without it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
+from collections.abc import Set as AbstractSet
 from operator import itemgetter
-from typing import Collection, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import EngineStateError
 from .messages import Message
 from .node import ProtocolNode
-from .store import KnowledgeStore, RowView
-from .vector_kernel import np, require_numpy
+from .store import KnowledgeStore
+
+try:  # pragma: no cover - exercised via numpy_available() either way
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy is baked into the image
+    np = None  # type: ignore[assignment]
 
 #: Largest n for which the store keeps a per-id power-of-two table
 #: (``{id: 1 << bit}``).  The table costs Θ(n²/8) bytes (32 MiB at the
@@ -50,18 +73,44 @@ _PEEL_BITS = 32
 #: with set probes against the ids it may not name, not converted.
 _ABSENT_MAX = 64
 
+#: Set types ``MaskRow`` combines with, checked before the slower ABC test.
+_BUILTIN_SETS = (set, frozenset)
 
-class MaskRow(RowView):
-    """One machine's knowledge, read from its mask.
+
+def numpy_available() -> bool:
+    """Whether the mask store can run in this interpreter."""
+    return np is not None
+
+
+def require_numpy() -> None:
+    """Raise a clear error when the mask store is built without numpy."""
+    if np is None:
+        raise ImportError(
+            "the 'fast' engine backend requires numpy, which is a "
+            "declared dependency of this package but is not importable "
+            "in this environment; install it (pip install numpy) or "
+            "select backend='legacy' instead"
+        )
+
+
+class MaskRow(AbstractSet):
+    """One machine's knowledge, read from its mask: a read-only set view.
 
     Membership is a bit test through the dense index and the size is
     the store's per-row count.  Iteration runs in ascending id order
     through ``node_ids``, so it shares their int objects: a complete row
     iterates ``node_ids`` itself, a row of at most ``_PEEL_BITS`` bits
-    peels them, any other takes one ``np.unpackbits``.
+    peels them, any other takes one ``np.unpackbits``.  ``-``, ``&`` and
+    ``|`` with another set return a plain ``set`` built by C-level set
+    operations over the ids, not the ``Set`` mixins' generators; the
+    mixins' other results are plain sets too.
     """
 
-    __slots__ = ()
+    __slots__ = ("_store", "_idx")
+
+    def __init__(self, store: "MaskStore", idx: int) -> None:
+        self._store = store
+        self._idx = idx
 
     def __contains__(self, node: object) -> bool:
         store = self._store
@@ -91,12 +140,41 @@ class MaskRow(RowView):
         bits = np.unpackbits(row, count=store.n, bitorder="little")
         return store._id_array[bits.view(bool)].tolist()
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids())
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[int]) -> Set[int]:
+        return set(iterable)
+
+    def _combine(self, other, update):
+        if type(other) not in _BUILTIN_SETS and not isinstance(other, AbstractSet):
+            return NotImplemented
+        result = set(self._ids())
+        update(result, other)
+        return result
+
+    def __sub__(self, other):
+        return self._combine(other, set.difference_update)
+
+    def __and__(self, other):
+        return self._combine(other, set.intersection_update)
+
+    def __or__(self, other):
+        return self._combine(other, set.update)
+
+    __rand__ = __and__
+    __ror__ = __or__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._ids())!r})"
+
 
 class MaskStore(KnowledgeStore):
     """Bitmask ground truth with candidate-mask learning."""
 
     def __init__(self, *args, **kwargs) -> None:
-        require_numpy("fast")
+        require_numpy()
         super().__init__(*args, **kwargs)
         n = self.n
         self._nbytes = (n + 7) >> 3

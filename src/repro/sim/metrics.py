@@ -101,7 +101,7 @@ class MetricsCollector:
     ) -> None:
         """Charge a whole round's sends in one call.
 
-        The fast-path engine tallies its outboxes per kind (see
+        The engine tallies its outboxes per kind (see
         :func:`repro.sim.messages.tally_by_kind`) and records them here,
         replacing one :meth:`record_send` call per message with one call
         per round.  The resulting counters are identical: ``Counter.update``

@@ -20,15 +20,15 @@ and offers the loop a handful of operations:
 * :meth:`KnowledgeStore.inject` and
   :meth:`KnowledgeStore.inject_near_complete` — out-of-band learning.
 
-Three stores ship: :class:`SetStore` here (per-id sets, the reference
-implementation), :class:`~repro.sim.mask_store.MaskStore` (one Python-int
-bitmask per machine) and :class:`~repro.sim.vector_kernel.VectorState`
-(one bit-packed numpy matrix).  The set store's rows are its own
-``set``\\ s; the other two hand out read-only :class:`RowView`\\ s over
-their bits.  All three produce identical digests, counters and
+Two stores ship: :class:`SetStore` here (per-id sets, the reference
+implementation) and :class:`~repro.sim.mask_store.MaskStore` (one
+Python-int bitmask per machine).  The set store's rows are its own
+``set``\\ s; the mask store hands out read-only
+:class:`~repro.sim.mask_store.MaskRow`\\ s over its bits.  Both produce
+identical digests, counters and
 :class:`~repro.sim.errors.ProtocolViolation`\\ s, and the reference
-legality scan (:meth:`KnowledgeStore.scan`) is the one every store falls
-back to when its own guard suspects a violation.
+legality scan (:meth:`KnowledgeStore.scan`) is the one the mask store
+falls back to when its own guard suspects a violation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import (
     Collection,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -57,59 +56,6 @@ from .node import ProtocolNode
 MissingGroups = Iterable[Tuple[Collection[int], Sequence[int]]]
 
 
-#: Set types ``RowView`` combines with, checked before the slower ABC test.
-_BUILTIN_SETS = (set, frozenset)
-
-
-class RowView(AbstractSet):
-    """Read-only set view of one machine's row in a bit store.
-
-    Subclasses read the bits: membership (``__contains__``), size
-    (``__len__``) and the ids in ascending order (``_ids``).  ``-``,
-    ``&`` and ``|`` with another set return a plain ``set`` built by
-    C-level set operations over ``_ids``, not the ``Set`` mixins'
-    generators; the mixins' other results are plain sets too.
-    """
-
-    __slots__ = ("_store", "_idx")
-
-    def __init__(self, store: "KnowledgeStore", idx: int) -> None:
-        self._store = store
-        self._idx = idx
-
-    def _ids(self) -> Sequence[int]:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids())
-
-    @classmethod
-    def _from_iterable(cls, iterable: Iterable[int]) -> Set[int]:
-        return set(iterable)
-
-    def _combine(self, other, update):
-        if type(other) not in _BUILTIN_SETS and not isinstance(other, AbstractSet):
-            return NotImplemented
-        result = set(self._ids())
-        update(result, other)
-        return result
-
-    def __sub__(self, other):
-        return self._combine(other, set.difference_update)
-
-    def __and__(self, other):
-        return self._combine(other, set.intersection_update)
-
-    def __or__(self, other):
-        return self._combine(other, set.update)
-
-    __rand__ = __and__
-    __ror__ = __or__
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self._ids())!r})"
-
-
 class KnowledgeStore:
     """Ground-truth knowledge of one run, plus its derived counters.
 
@@ -118,9 +64,8 @@ class KnowledgeStore:
             has dense index ``i``.
         index: ``{machine id: dense index}``.
         initial: Each machine's initial knowledge, itself included.  The
-            store takes these sets as its rows; the fast and vector
-            stores read them once and replace them with views over their
-            bits.
+            store takes these sets as its rows; the mask store reads
+            them once and replaces them with views over its bits.
         alive: The engine's set of machines that have not crashed; the
             store reads it (shared, never written) for alive coverage.
         max_delay: The most rounds a message can spend in flight.

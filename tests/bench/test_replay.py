@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms.registry import get_algorithm
 from repro.bench.replay import RecordedRun, record_run, replay_engine
 from repro.graphs import make_topology
-from repro.sim import BACKENDS, vector_available
+from repro.sim import BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,6 @@ class TestRecordRun:
 class TestReplay:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_full_replay_reproduces_the_run(self, recorded, backend):
-        if backend == "vector" and not vector_available():
-            pytest.skip("numpy unavailable")
         engine = replay_engine(recorded, backend=backend, force=True)
         for _ in range(recorded.rounds):
             engine.step()
@@ -88,15 +86,10 @@ class TestBackendRefusal:
         engine = replay_engine(recorded, backend="legacy")
         assert engine.backend == "legacy"
 
-    @pytest.mark.parametrize("backend", ["fast", "vector"])
+    @pytest.mark.parametrize("backend", ["fast"])
     def test_cross_backend_refused_without_force(self, recorded, backend):
         with pytest.raises(ValueError, match="force"):
             replay_engine(recorded, backend=backend)
-
-    def test_fast_path_alias_is_also_refused(self, recorded):
-        # The boolean alias resolves to "fast" and hits the same check.
-        with pytest.raises(ValueError, match="force"):
-            replay_engine(recorded, fast_path=True)
 
     def test_force_allows_cross_backend(self, recorded):
         engine = replay_engine(recorded, backend="fast", force=True)

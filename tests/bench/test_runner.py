@@ -105,7 +105,7 @@ class TestParallelSweep:
 
     def test_legacy_engine_sweep_matches_fast(self):
         fast = sweep(["namedropper"], "kout", [20], [3, 4])
-        legacy = sweep(["namedropper"], "kout", [20], [3, 4], fast_path=False)
+        legacy = sweep(["namedropper"], "kout", [20], [3, 4], backend="legacy")
         assert fast == legacy
 
 

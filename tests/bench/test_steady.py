@@ -2,7 +2,7 @@
 
 The kernel's whole value is that its injected state and scheduled
 traffic are *backend-equivalent*: a timing comparison between backends
-is meaningless unless all three execute the identical workload.  These
+is meaningless unless both execute the identical workload.  These
 tests pin that equivalence at small n (digest-per-round), plus the
 injection invariants the large-n rows rely on.
 """
@@ -19,7 +19,7 @@ from repro.bench.steady import (
     ring_adjacency,
     run_steady_window,
 )
-from repro.sim import BACKENDS, SynchronousEngine, vector_available
+from repro.sim import BACKENDS, SynchronousEngine
 
 SPECS = {
     "sparse": SteadySpec(
@@ -40,14 +40,10 @@ SPECS = {
 }
 
 
-def _backends():
-    return [b for b in BACKENDS if b != "vector" or vector_available()]
-
-
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_backends_digest_identical(name):
     spec = SPECS[name]
-    digests = {b: run_steady_window(spec, b) for b in _backends()}
+    digests = {b: run_steady_window(spec, b) for b in BACKENDS}
     reference = digests["legacy"]
     assert len(reference) == spec.window
     for backend, rounds in digests.items():
@@ -56,7 +52,7 @@ def test_backends_digest_identical(name):
 
 def test_injection_matches_counters():
     spec = SPECS["shared-missing"]
-    for backend in _backends():
+    for backend in BACKENDS:
         engine, _ = build_steady_engine(spec, backend)
         complete = sum(
             1 for known in engine.knowledge.values() if len(known) == spec.n
@@ -71,7 +67,7 @@ def test_injection_updates_the_rows_nodes_hold():
     # bound to before it read the injected knowledge.
     spec = SPECS["sparse"]
     missing = laggard_missing(spec)
-    for backend in _backends():
+    for backend in BACKENDS:
         engine, _ = build_steady_engine(spec, backend)
         for node in (0, spec.n - 1):
             row = engine.nodes[node].known
@@ -81,7 +77,7 @@ def test_injection_updates_the_rows_nodes_hold():
 
 def test_laggards_learn_during_window():
     spec = SPECS["full-payload"]
-    for backend in _backends():
+    for backend in BACKENDS:
         engine, _ = build_steady_engine(spec, backend)
         before = engine.store.complete_count
         for _ in range(spec.window):

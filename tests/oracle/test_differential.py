@@ -9,12 +9,10 @@ from repro.oracle.differential import (
     diff_engines,
     diff_fast_vs_legacy,
     diff_reduction,
-    diff_vector_vs_fast,
     engine_digest,
     lockstep_reduction,
 )
 from repro.oracle.fuzzer import make_skip_delivery_hook
-from repro.sim import vector_available
 
 CLEAN = ScheduleScript(
     algorithm="sublog", topology="kout", n=16, seed=7, topology_params={"k": 3}
@@ -45,8 +43,8 @@ class TestFastVsLegacy:
     def test_divergence_is_localized(self):
         # Sabotage the fast-path engine only: the diff must pinpoint the
         # first divergent round instead of merely failing at the end.
-        engine_a = CLEAN.build_engine(fast_path=True)
-        engine_b = CLEAN.build_engine(fast_path=False)
+        engine_a = CLEAN.build_engine(backend="fast")
+        engine_b = CLEAN.build_engine(backend="legacy")
         make_skip_delivery_hook()(engine_a)
         report = diff_engines(
             engine_a, engine_b, max_rounds=CLEAN.resolved_max_rounds()
@@ -67,29 +65,8 @@ class TestFastVsLegacy:
         assert not report.equal
         assert report.divergence.round_no == 0
 
-
-@pytest.mark.skipif(not vector_available(), reason="numpy unavailable")
-class TestVectorVsFast:
-    @pytest.mark.parametrize("script", (CLEAN, HOSTILE), ids=("clean", "hostile"))
-    def test_backends_agree(self, script):
-        report = diff_vector_vs_fast(script)
-        assert report.equal
-        assert report.completed
-        assert "vector == fast-path" in report.describe()
-
-    def test_divergence_is_localized(self):
-        engine_a = CLEAN.build_engine(backend="vector")
-        engine_b = CLEAN.build_engine(backend="fast")
-        make_skip_delivery_hook()(engine_a)
-        report = diff_engines(
-            engine_a, engine_b, max_rounds=CLEAN.resolved_max_rounds(),
-            label_a="vector", label_b="fast-path",
-        )
-        assert not report.equal
-        assert report.divergence is not None
-
     def test_enforcement_toggle_passthrough(self):
-        report = diff_vector_vs_fast(CLEAN, enforce_legality=False)
+        report = diff_fast_vs_legacy(CLEAN, enforce_legality=False)
         assert report.equal
 
 
@@ -141,8 +118,8 @@ class TestEngineDigest:
         assert len(digest.knowledge) == 64  # sha256 hex
 
     def test_equal_engines_digest_equal(self):
-        engine_a = CLEAN.build_engine(fast_path=True)
-        engine_b = CLEAN.build_engine(fast_path=False)
+        engine_a = CLEAN.build_engine(backend="fast")
+        engine_b = CLEAN.build_engine(backend="legacy")
         for _ in range(3):
             assert engine_digest(engine_a) == engine_digest(engine_b)
             engine_a.step()

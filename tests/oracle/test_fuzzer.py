@@ -217,11 +217,11 @@ class TestInjectedBugSelfTest:
         assert minimal.topology == "path"
         assert minimal.n <= 4
 
-    def test_check_script_reports_vector_divergence(self, monkeypatch):
-        # A vector-only miscompare must surface under its own status so
-        # triage can tell a backend bug from a transport bug.  Fake the
-        # vector leg's report: sabotaging only the vector engine inside
-        # check_script is not reachable from the outside.
+    def test_check_script_reports_divergence(self, monkeypatch):
+        # A fast-vs-legacy miscompare must surface under its own status so
+        # triage can tell a store bug from a transport bug.  Fake the
+        # differential leg's report: sabotaging only the fast engine
+        # inside check_script is not reachable from the outside.
         import repro.oracle.fuzzer as fuzzer_mod
         from repro.oracle.differential import DiffReport, Divergence
 
@@ -231,19 +231,32 @@ class TestInjectedBugSelfTest:
         assert check_script(clean, reduction=False) is None
 
         bad = DiffReport(
-            label_a="vector", label_b="fast-path", equal=False, rounds=2,
+            label_a="fast-path", label_b="legacy", equal=False, rounds=2,
             completed=False,
             divergence=Divergence(2, "knowledge", "a", "b"),
         )
-        monkeypatch.setattr(fuzzer_mod, "vector_available", lambda: True)
         monkeypatch.setattr(
-            fuzzer_mod, "diff_vector_vs_fast", lambda script: bad
+            fuzzer_mod, "diff_fast_vs_legacy", lambda script: bad
         )
         failure = check_script(clean, reduction=False)
         assert failure is not None
         kind, detail = failure
-        assert kind == "vector-divergence"
-        assert "vector != fast-path" in detail
+        assert kind == "divergence"
+        assert "fast-path != legacy" in detail
+
+    def test_differential_leg_skipped_without_numpy(self, monkeypatch):
+        import repro.oracle.fuzzer as fuzzer_mod
+        import repro.sim.mask_store as mask_store
+
+        def unreachable(script):
+            raise AssertionError("differential leg ran without numpy")
+
+        monkeypatch.setattr(mask_store, "np", None)
+        monkeypatch.setattr(fuzzer_mod, "diff_fast_vs_legacy", unreachable)
+        clean = ScheduleScript(
+            algorithm="flooding", topology="cycle", n=8, seed=13
+        )
+        assert check_script(clean, reduction=False) is None
 
     def test_fuzz_loop_shrinks_failures(self):
         report = fuzz(

@@ -83,7 +83,7 @@ class TestInvariantOracleCleanRuns:
             algorithm="sublog", topology="kout", n=16, seed=5,
             topology_params={"k": 3},
         )
-        result, oracle = run_script(script, fast_path=True)
+        result, oracle = run_script(script, backend="fast")
         assert result.completed
         assert not oracle.violations
         assert oracle.rounds_checked == result.rounds
@@ -93,7 +93,7 @@ class TestInvariantOracleCleanRuns:
         script = ScheduleScript(
             algorithm="swamping", topology="path", n=17, seed=5
         )
-        result, oracle = run_script(script, fast_path=False)
+        result, oracle = run_script(script, backend="legacy")
         assert result.completed
         assert not oracle.violations
 
@@ -118,7 +118,7 @@ class TestInvariantOracleDetection:
         oracle = InvariantOracle(script=script, strict=strict)
         # Legacy path: ``engine.knowledge`` is the authoritative store, so
         # direct pokes simulate a corrupted simulator state.
-        engine = script.build_engine(fast_path=False, observers=[oracle])
+        engine = script.build_engine(backend="legacy", observers=[oracle])
         return engine, oracle
 
     def test_monotonicity_violation_detected(self):

@@ -6,14 +6,12 @@ from typing import Sequence
 
 import pytest
 
-from repro.sim import vector_available
+from repro.sim import BACKENDS
 from repro.sim.engine import SynchronousEngine
 from repro.sim.errors import EngineStateError, UnknownNodeError
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import Message
 from repro.sim.node import ProtocolNode
-
-BACKENDS = ("legacy", "fast") + (("vector",) if vector_available() else ())
 
 
 class SilentNode(ProtocolNode):

@@ -3,8 +3,8 @@
 Every store hands each protocol node its machine's row at bind time and
 ``engine.knowledge`` hands out the same rows, so a delivery or an
 injection shows in both at once.  The set store's rows are its own
-``set``\\ s; the fast and vector stores' rows are read-only views over
-their bits, which must read exactly like sets: membership, size,
+``set``\\ s; the fast store's rows are read-only views over its
+bits, which must read exactly like sets: membership, size,
 ascending iteration, equality, and set algebra that returns plain sets.
 The host learns each message after the protocol's ``absorb`` has seen
 it, on every store and on the live host alike.
@@ -21,12 +21,11 @@ import pytest
 from repro.algorithms.base import DiscoveryNode
 from repro.algorithms.name_dropper import NameDropperNode
 from repro.live.cluster import ClusterSpec, LiveCluster
-from repro.sim import vector_available
+from repro.sim import BACKENDS
 from repro.sim.engine import SynchronousEngine
 from repro.sim.messages import Message
 from repro.sim.node import ProtocolNode
 
-BACKENDS = ("legacy", "fast") + (("vector",) if vector_available() else ())
 VIEW_BACKENDS = tuple(backend for backend in BACKENDS if backend != "legacy")
 
 N = 80

@@ -81,6 +81,13 @@ class TestRun:
                  "--n", "24", "--delivery", "carrier-pigeon"]
             )
 
+    def test_removed_vector_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--algorithm", "sublog", "--n", "24",
+                  "--backend", "vector"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'vector'" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_experiment_writes_report(self, capsys, tmp_path, monkeypatch):

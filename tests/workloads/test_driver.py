@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import vector_available
+from repro.sim import BACKENDS
 from repro.workloads import (
     TraceWorkload,
     fault_plan_from_trace,
@@ -14,8 +14,6 @@ from repro.workloads import (
     run_trace_workload,
 )
 from repro.workloads.trace import Trace, TraceEvent
-
-BACKENDS = ("legacy", "fast") + (("vector",) if vector_available() else ())
 
 
 class TestMappings:
