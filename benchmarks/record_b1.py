@@ -3,10 +3,8 @@
 Measures the engine's round throughput on the steady-state replay kernel
 (the final, heaviest rounds of a recorded Name-Dropper run — see
 ``docs/PERF.md``) and on the cold-start kernel, on both engine backends
-and both legality modes, plus the synthetic catch-up kernel
-(:mod:`repro.bench.steady`) on the fast backend at n = 10^5, where
-recording a real run is out of reach.  Writes one machine-readable JSON
-record including the git revision it was measured at::
+and both legality modes.  Writes one machine-readable JSON record
+including the git revision it was measured at::
 
     PYTHONPATH=src python benchmarks/record_b1.py --out BENCH_B1.json
 
@@ -15,11 +13,6 @@ The committed file is documentation plus one CI gate
 fails on a large ns/pointer regression): absolute numbers are
 machine-dependent, but the backend *ratio* is what the fast store
 promises — fast >= 3x over legacy at n=256.
-
-n = 10^6 remains out of reach on one box: the knowledge rows alone are
-n * n/8 = 125 GB at one bit per machine, before accounting for the
-engine or the payloads.  The stretch row is therefore documented as
-infeasible rather than measured; see docs/PERF.md.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import repro  # noqa: E402
 from repro.algorithms.registry import get_algorithm  # noqa: E402
 from repro.bench.replay import RecordedRun, record_run, replay_engine  # noqa: E402
-from repro.bench.steady import SteadySpec, build_steady_engine  # noqa: E402
 from repro.graphs import make_topology  # noqa: E402
 from repro.sim import BACKENDS, SynchronousEngine  # noqa: E402
 
@@ -48,17 +40,6 @@ STEADY_WINDOW = 5
 ACCEPTANCE_SPEEDUP = 3.0
 #: Best-of repeat counts per size (large-n windows are seconds long).
 REPEATS = {256: 7, 1024: 3, 4096: 1}
-
-#: The synthetic large-n workload: half the network missing a shared
-#: 40k-id block while 2048 complete nodes a round broadcast full
-#: knowledge.
-CATCHUP_SPEC = dict(
-    window=2,
-    senders_per_round=2048,
-    pointers_per_message=None,
-    missing_per_laggard=40_000,
-    shared_missing=True,
-)
 
 
 def best_of(make_engine: Callable[[], SynchronousEngine],
@@ -140,33 +121,6 @@ def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
     }
 
 
-def catchup_case(n: int) -> Dict[str, object]:
-    """The synthetic catch-up row at large n on the fast backend
-    (single-shot timing — a window is seconds long and the injected
-    state is deterministic)."""
-    spec = SteadySpec(n=n, laggards=n // 2, seed=SEED, **CATCHUP_SPEC)
-    engine, window_pointers = build_steady_engine(spec, "fast")
-    started = time.perf_counter()
-    for _ in range(spec.window):
-        engine.step()
-    elapsed = time.perf_counter() - started
-    return {
-        "kernel": "steady_synthetic_catchup",
-        "n": n,
-        "seed": SEED,
-        "enforce_legality": False,
-        "window_rounds": spec.window,
-        "senders_per_round": spec.senders_per_round,
-        "pointers_per_message": spec.pointers_per_message or n,
-        "laggards": spec.laggards,
-        "bytes_per_node": spec.bytes_per_node,
-        "matrix_mb": spec.matrix_mb,
-        "fast_ms": round(elapsed * 1e3, 1),
-        "ns_per_pointer_fast": round(elapsed * 1e9 / window_pointers, 3),
-        "window_pointers": window_pointers,
-    }
-
-
 def git_rev() -> Optional[str]:
     try:
         return subprocess.check_output(
@@ -180,10 +134,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", nargs="+", type=int,
                         default=[256, 1024, 4096])
-    parser.add_argument("--large-n", nargs="+", type=int, default=[100_000],
-                        help="sizes for the synthetic steady-state rows")
-    parser.add_argument("--skip-large", action="store_true",
-                        help="skip the synthetic large-n row")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_B1.json"))
     args = parser.parse_args(argv)
 
@@ -211,14 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         results.append(case)
         print(f"  cold-start: legacy {case['legacy_ms']}ms "
               f"fast {case['fast_ms']}ms -> {case['speedup']}x", flush=True)
-
-    if not args.skip_large:
-        for n in args.large_n:
-            print(f"n={n}: synthetic catchup kernel...", flush=True)
-            case = catchup_case(n)
-            results.append(case)
-            print(f"  fast {case['fast_ms']}ms "
-                  f"({case['ns_per_pointer_fast']} ns/ptr)", flush=True)
 
     acceptance = next(
         (case for case in results

@@ -128,7 +128,6 @@ def discover(
     goal: str = "strong",
     fault_plan: Optional[FaultPlan] = None,
     join_plan: Optional[JoinPlan] = None,
-    jitter: int = 0,
     delivery: Optional[Union[str, DeliveryModel]] = None,
     observers: Iterable[Observer] = (),
     max_rounds: Optional[int] = None,
@@ -148,15 +147,12 @@ def discover(
         fault_plan: Optional fault injection plan.
         join_plan: Optional dynamic-join plan (machines dormant until
             their join round — see :mod:`repro.sim.churn`).
-        jitter: Bounded-asynchrony knob: messages take 1 .. 1 + jitter
-            rounds to arrive (0 = classic synchronous delivery).  Alias
-            for ``delivery=BoundedJitter(jitter)``.
         delivery: Delivery model — a
             :class:`repro.sim.transport.DeliveryModel` or a spec string
             such as ``"jitter:2"``, ``"adversarial:3"``, ``"perlink:2"``,
             or ``"partition:4-8"`` (see
-            :func:`repro.sim.transport.parse_delivery`).  Mutually
-            exclusive with ``jitter``.
+            :func:`repro.sim.transport.parse_delivery`).  ``None`` means
+            lockstep, the classic synchronous model.
         observers: Read-only run observers.
         max_rounds: Round cap; defaults to the algorithm's registered cap.
         enforce_legality: Verify every message against the communication
@@ -182,7 +178,6 @@ def discover(
         goal=goal,
         fault_plan=fault_plan,
         join_plan=join_plan,
-        jitter=jitter,
         delivery=delivery,
         observers=observers,
         enforce_legality=enforce_legality,

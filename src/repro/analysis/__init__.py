@@ -1,4 +1,4 @@
-"""Theory hooks: invariants, bounds, curve fitting, convergence, statistics."""
+"""Theory hooks: invariants, bounds, curve fitting, convergence."""
 
 from .convergence import (
     ConvergenceCurve,
@@ -29,15 +29,12 @@ from .fitting import (
 from .invariants import (
     BallContainmentObserver,
     InvariantViolation,
-    MonotonicityObserver,
     closure_deficit,
     is_knowledge_closed,
     weak_closure_witnesses,
 )
-from .stats import Aggregate, aggregate, aggregate_results, completion_rate, group_by
 
 __all__ = [
-    "Aggregate",
     "BallContainmentObserver",
     "ConvergenceCurve",
     "compare_milestones",
@@ -45,18 +42,13 @@ __all__ = [
     "GROWTH_MODELS",
     "InvariantViolation",
     "ModelFit",
-    "MonotonicityObserver",
-    "aggregate",
-    "aggregate_results",
     "best_model",
     "closure_deficit",
     "compare_models",
-    "completion_rate",
     "is_knowledge_closed",
     "describe_fits",
     "fit_all_models",
     "fit_model",
-    "group_by",
     "log2",
     "loglog2",
     "lower_bound_rounds",

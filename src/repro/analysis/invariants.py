@@ -1,16 +1,15 @@
 """Runtime invariant checkers.
 
-Two invariants tie the simulator to the theory (DESIGN.md section 1):
+**Ball containment** ties the simulator to the theory (DESIGN.md
+section 1): for every algorithm, after t rounds a machine can know only
+machines within undirected distance 2^t of it in the initial graph.
+This is the information-propagation lower bound; checking it at runtime
+simultaneously validates the simulator (no illegal channel exists) and
+every algorithm (no cheating).  Knowledge monotonicity and the rest of
+the catalog are checked by :class:`repro.oracle.InvariantOracle`.
 
-* **Ball containment** — for every algorithm, after t rounds a machine can
-  know only machines within undirected distance 2^t of it in the initial
-  graph.  This is the information-propagation lower bound; checking it at
-  runtime simultaneously validates the simulator (no illegal channel
-  exists) and every algorithm (no cheating).
-* **Knowledge monotonicity** — knowledge sets never shrink.
-
-The checkers are observers; attach them via ``discover(observers=[...])``.
-They record violations and can raise immediately (``strict=True``).
+The checker is an observer; attach it via ``discover(observers=[...])``.
+It records violations and can raise immediately (``strict=True``).
 """
 
 from __future__ import annotations
@@ -173,32 +172,3 @@ class BallContainmentObserver(Observer):
             "ball_violations": list(self.violations),
             "max_knowledge_radius": list(self.max_radius_by_round),
         }
-
-
-class MonotonicityObserver(Observer):
-    """Checks that ground-truth knowledge sets never shrink."""
-
-    def __init__(self, strict: bool = True) -> None:
-        self.strict = strict
-        self.violations: List[Dict[str, int]] = []
-        self._previous_sizes: Dict[int, int] = {}
-
-    def on_setup(self, engine: "SynchronousEngine") -> None:
-        self._previous_sizes = {
-            node: len(knowledge) for node, knowledge in engine.knowledge.items()
-        }
-
-    def on_round_end(self, engine: "SynchronousEngine", round_no: int) -> None:
-        for node, knowledge in engine.knowledge.items():
-            size = len(knowledge)
-            if size < self._previous_sizes[node]:
-                record = {"round": round_no, "node": node, "size": size}
-                self.violations.append(record)
-                if self.strict:
-                    raise InvariantViolation(
-                        f"round {round_no}: node {node} knowledge shrank"
-                    )
-            self._previous_sizes[node] = size
-
-    def extra(self) -> Dict[str, Any]:
-        return {"monotonicity_violations": list(self.violations)}

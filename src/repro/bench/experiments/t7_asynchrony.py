@@ -76,7 +76,8 @@ def run(scale: Scale) -> ExperimentReport:
                     params=params,
                     topology_params={"k": 3},
                 )
-                result = run_case(case, jitter=jitter, max_rounds=4000)
+                delivery = f"jitter:{jitter}" if jitter else None
+                result = run_case(case, delivery=delivery, max_rounds=4000)
                 assert result.completed, (algorithm, jitter, seed)
                 rounds.append(result.rounds)
             median = statistics.median(rounds)

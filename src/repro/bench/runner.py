@@ -119,7 +119,6 @@ def run_case(
     case: Case,
     *,
     fault_plan: Optional[FaultPlan] = None,
-    jitter: int = 0,
     delivery: Optional[Union[str, DeliveryModel]] = None,
     observers: Iterable[Observer] = (),
     enforce_legality: bool = False,
@@ -129,10 +128,9 @@ def run_case(
 ) -> RunResult:
     """Execute one case and return its result.
 
-    The ``delivery`` keyword overrides ``case.delivery`` when given;
-    ``jitter`` remains the legacy alias and is mutually exclusive with
-    both (enforced by the engine).  ``backend`` pins the engine backend;
-    by default :func:`repro.discover` picks the fast store.
+    The ``delivery`` keyword overrides ``case.delivery`` when given.
+    ``backend`` pins the engine backend; by default
+    :func:`repro.discover` picks the fast store.
     """
     from .. import discover  # local import: repro re-exports this module
 
@@ -146,7 +144,6 @@ def run_case(
         seed=case.seed,
         goal=case.goal,
         fault_plan=fault_plan,
-        jitter=jitter,
         delivery=delivery,
         observers=observers,
         enforce_legality=enforce_legality,

@@ -13,9 +13,8 @@ Experiments run at three scales:
   of n − 1 ids at once; the gossip baselines send knowledge snapshots)
   and the per-pointer legality and learning work over them.  That is
   what the per-algorithm size caps in T1/F1 bound.  At n = 32 768 the
-  broadcast's tuples alone take 8 GiB, so steady-state scaling beyond
-  that is B1's synthetic-kernel territory (``repro.bench.steady``), not
-  the sweep's.
+  broadcast's tuples alone take 8 GiB, more than a machine with 8 GB of
+  memory holds.
 
 Select with the ``REPRO_BENCH_SCALE`` environment variable or the CLI's
 ``--scale`` flag.  Seeds are fixed constants so that every report is

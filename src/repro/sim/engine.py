@@ -43,8 +43,7 @@ metrics close and the observer hooks); the crash step is not timed.
 Delivery semantics — which round a submitted message lands, and whether
 it is filtered in flight — live in the pluggable delivery models of
 :mod:`repro.sim.transport` (lockstep, bounded jitter, per-link latency,
-adversarial delay, partition windows).  The historical ``jitter=`` knob
-survives as an alias for ``delivery=BoundedJitter(jitter)``.
+adversarial delay, partition windows).
 
 Ground truth lives in a knowledge store (:mod:`repro.sim.store` states
 the contract): the loop asks it only to ``check`` an outbox, ``learn`` a
@@ -109,7 +108,7 @@ from .node import ProtocolNode
 from .observers import Observer
 from .rng import derive_rng
 from .store import KnowledgeStore, SetStore
-from .transport import BoundedJitter, DeliveryModel, Lockstep, parse_delivery
+from .transport import DeliveryModel, Lockstep, parse_delivery
 
 NodeFactory = Callable[[int], ProtocolNode]
 GoalPredicate = Callable[["SynchronousEngine"], bool]
@@ -164,19 +163,12 @@ class SynchronousEngine:
         join_plan: Optional :class:`repro.sim.churn.JoinPlan` — machines
             listed in it are dormant (not executing, unreachable) until
             their join round.
-        jitter: Bounded-asynchrony knob, kept as a convenience alias for
-            ``delivery=BoundedJitter(jitter)``: a message sent in round
-            ``r`` is delivered at the start of round ``r + d`` where
-            ``d`` is drawn uniformly from ``1 .. 1 + jitter``
-            (deterministically in the seed).  ``jitter=0`` is the classic
-            synchronous model.  Mutually exclusive with ``delivery=``.
         delivery: Delivery model — a
             :class:`repro.sim.transport.DeliveryModel` instance or a spec
             string (``"lockstep"``, ``"jitter:2"``, ``"adversarial:3"``,
             ``"perlink:2"``, ``"partition:4-8"``; see
             :func:`repro.sim.transport.parse_delivery`).  ``None`` (the
-            default) means lockstep, or bounded jitter when ``jitter`` is
-            given.
+            default) means lockstep, the classic synchronous model.
         observers: Read-only observers notified per round.
         enforce_legality: Verify the recipient and the ids of every
             message against the sender's ground-truth knowledge.  Costs
@@ -209,7 +201,6 @@ class SynchronousEngine:
         goal: Union[str, GoalPredicate] = "strong",
         fault_plan: Optional[FaultPlan] = None,
         join_plan: Optional[JoinPlan] = None,
-        jitter: int = 0,
         delivery: Optional[Union[str, DeliveryModel]] = None,
         observers: Iterable[Observer] = (),
         enforce_legality: bool = True,
@@ -254,18 +245,8 @@ class SynchronousEngine:
         for node in self._joins.join_rounds:
             if node not in self._id_set:
                 raise UnknownNodeError(f"join plan lists unknown node {node}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        if delivery is not None and jitter:
-            raise ValueError(
-                "pass either delivery= or the jitter= alias, not both"
-            )
-        if delivery is None:
-            model = BoundedJitter(jitter) if jitter else Lockstep()
-        else:
-            model = parse_delivery(delivery)
+        model = Lockstep() if delivery is None else parse_delivery(delivery)
         self.delivery: DeliveryModel = model.bind(self)
-        self.jitter = getattr(model, "jitter", 0)
         self._wants_deliveries = any(
             getattr(observer, "wants_deliveries", False)
             for observer in self.observers

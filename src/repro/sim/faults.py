@@ -103,11 +103,6 @@ class FaultInjector:
             return DROP_CRASH
         return DROP_FAULT if coin_drop else None
 
-    def should_drop(self, sender: int, recipient: int) -> bool:
-        """Whether a message is lost in transit (reason-blind wrapper
-        around :meth:`send_drop_reason`; consumes the same coin)."""
-        return self.send_drop_reason(sender, recipient) is not None
-
 
 def parse_kill_specs(specs: Iterable[str]) -> Dict[int, int]:
     """Parse ``"id@round"`` crash specs into a ``crash_rounds`` mapping.

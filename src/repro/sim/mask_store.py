@@ -432,20 +432,3 @@ class MaskStore(KnowledgeStore):
         add = self.mask_of(ids) & ~self.masks[idx]
         if add:
             self._apply(node, idx, add)
-
-    def _load_near_complete(
-        self, groups: List[Tuple[Collection[int], Sequence[int]]]
-    ) -> None:
-        n = self.n
-        full = self._full
-        self.masks = masks = [full] * n
-        self._sizes = sizes = [n] * n
-        incomplete = 0
-        for ids, nodes in groups:
-            lagging = full ^ self.mask_of(ids)
-            for node in nodes:
-                row = self.index[node]
-                masks[row] = lagging
-                sizes[row] = n - len(ids)
-                incomplete |= 1 << row
-        self._complete_mask = full ^ incomplete

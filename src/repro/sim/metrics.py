@@ -227,10 +227,3 @@ class RunResult:
             "bits": self.bits,
             "dropped_messages": self.dropped_messages,
         }
-
-
-def merge_extras(base: Optional[Mapping[str, Any]], update: Mapping[str, Any]) -> Dict[str, Any]:
-    """Merge observer-contributed extras, later contributions winning."""
-    merged: Dict[str, Any] = dict(base or {})
-    merged.update(update)
-    return merged

@@ -17,8 +17,7 @@ and offers the loop a handful of operations:
 * completion counters (:attr:`~KnowledgeStore.complete_count`,
   :meth:`~KnowledgeStore.weak_leader`, alive coverage in
   :attr:`~KnowledgeStore.alive_complete`);
-* :meth:`KnowledgeStore.inject` and
-  :meth:`KnowledgeStore.inject_near_complete` — out-of-band learning.
+* :meth:`KnowledgeStore.inject` — out-of-band learning.
 
 Two stores ship: :class:`SetStore` here (per-id sets, the reference
 implementation) and :class:`~repro.sim.mask_store.MaskStore` (one
@@ -34,27 +33,12 @@ falls back to when its own guard suspects a violation.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import (
-    Collection,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from ..graphs.knowledge import digest_knowledge
 from .errors import ProtocolViolation
 from .messages import Message
 from .node import ProtocolNode
-
-#: ``(missing ids, machines missing them)`` groups for
-#: :meth:`KnowledgeStore.inject_near_complete`.
-MissingGroups = Iterable[Tuple[Collection[int], Sequence[int]]]
-
 
 class KnowledgeStore:
     """Ground-truth knowledge of one run, plus its derived counters.
@@ -140,20 +124,6 @@ class KnowledgeStore:
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         """Teach *node* the real machine ids *ids* (its own id excluded)."""
-        raise NotImplementedError
-
-    def inject_near_complete(self, missing: MissingGroups) -> None:
-        """Overwrite the state: every machine knows every machine except
-        that the machines of each group miss that group's ids.  Rows
-        already handed out stay valid."""
-        groups = [(ids, nodes) for ids, nodes in missing if ids and nodes]
-        self.complete_count = self.n - sum(len(nodes) for _, nodes in groups)
-        self._load_near_complete(groups)
-        self.rebuild_alive()
-
-    def _load_near_complete(
-        self, groups: List[Tuple[Collection[int], Sequence[int]]]
-    ) -> None:
         raise NotImplementedError
 
     def _credit_alive(self, node: int, gain: int) -> None:
@@ -243,18 +213,3 @@ class SetStore(KnowledgeStore):
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         self._learn(node, ids)
-
-    def _load_near_complete(
-        self, groups: List[Tuple[Collection[int], Sequence[int]]]
-    ) -> None:
-        # Update the sets in place: the protocol nodes hold them.
-        rows = self.rows
-        for known in rows.values():
-            known.update(self.node_ids)
-        known_by = {node: self.n for node in self.node_ids}
-        for ids, nodes in groups:
-            for node in nodes:
-                rows[node].difference_update(ids)
-            for target in ids:
-                known_by[target] -= len(nodes)
-        self._known_by = known_by

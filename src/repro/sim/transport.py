@@ -22,8 +22,7 @@ Shipped models:
   common case nothing.
 * :class:`BoundedJitter` — messages take ``1 .. 1 + jitter`` rounds,
   uniform and deterministic in the seed.  Bit-identical to the engine's
-  historical inline ``jitter=`` knob (same RNG stream, same salt), which
-  survives as a constructor alias.
+  historical inline ``jitter=`` knob (same RNG stream, same salt).
 * :class:`PerLinkLatency` — deterministic heterogeneous delays: each
   directed link gets a fixed delay in ``1 .. 1 + spread`` hashed stably
   from the run seed, modelling a fleet where some links are simply slow.

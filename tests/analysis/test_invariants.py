@@ -10,7 +10,6 @@ import repro
 from repro.analysis.invariants import (
     BallContainmentObserver,
     InvariantViolation,
-    MonotonicityObserver,
     closure_deficit,
     is_knowledge_closed,
     weak_closure_witnesses,
@@ -154,12 +153,3 @@ class TestBallContainment:
         engine.knowledge[0].add(16)
         with pytest.raises(InvariantViolation):
             engine.step()
-
-
-class TestMonotonicity:
-    def test_clean_run_has_no_violations(self):
-        graph = make_topology("kout", 24, seed=1, k=2)
-        observer = MonotonicityObserver()
-        result = repro.discover(graph, algorithm="sublog", seed=1, observers=[observer])
-        assert result.completed
-        assert not observer.violations

@@ -8,12 +8,10 @@ import statistics
 import pytest
 
 import repro
-from repro.analysis.invariants import (
-    BallContainmentObserver,
-    MonotonicityObserver,
-)
+from repro.analysis.invariants import BallContainmentObserver
 from repro.core import ClusterSizeObserver, ROUNDS_PER_PHASE, SubLogNode
 from repro.graphs import make_topology
+from repro.oracle import InvariantOracle
 from repro.sim import SynchronousEngine
 
 
@@ -100,11 +98,13 @@ class TestInvariants:
         assert not observer.violations
 
     def test_monotonicity_holds(self):
+        # The oracle's catalog includes monotonicity: knowledge never shrinks.
         graph = make_topology("clustered", 48, seed=3)
-        observer = MonotonicityObserver(strict=True)
-        result = repro.discover(graph, algorithm="sublog", seed=3, observers=[observer])
+        oracle = InvariantOracle(strict=True)
+        result = repro.discover(graph, algorithm="sublog", seed=3, observers=[oracle])
         assert result.completed
-        assert not observer.violations
+        assert oracle.rounds_checked == result.rounds
+        assert not oracle.violations
 
     def test_view_matches_ground_truth(self):
         graph = make_topology("kout", 40, seed=5, k=3)

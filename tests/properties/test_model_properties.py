@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.analysis.bounds import lower_bound_rounds
-from repro.analysis.invariants import (
-    BallContainmentObserver,
-    MonotonicityObserver,
-)
+from repro.analysis.invariants import BallContainmentObserver
 from repro.graphs.knowledge import KnowledgeGraph
+from repro.oracle import InvariantOracle
 from repro.sim import SynchronousEngine
 
 from ..strategies import weakly_connected_graphs
@@ -83,7 +81,7 @@ def test_round_lower_bound_never_beaten(graph: KnowledgeGraph, seed: int):
 def test_views_match_ground_truth(graph: KnowledgeGraph, seed: int):
     spec = repro.get_algorithm("sublog")
     engine = SynchronousEngine(
-        graph, spec.node_factory(), seed=seed, observers=[MonotonicityObserver()]
+        graph, spec.node_factory(), seed=seed, observers=[InvariantOracle()]
     )
     result = engine.run(max_rounds=spec.round_cap(graph.n) + 200)
     assert result.completed
@@ -151,7 +149,7 @@ def test_sublog_completes_under_jitter(
         graph,
         algorithm="sublog",
         seed=seed,
-        jitter=jitter,
+        delivery=f"jitter:{jitter}" if jitter else None,
         resilient=True,
         stagnation_phases=4,
         max_rounds=6000,

@@ -40,7 +40,7 @@ TOPOLOGY_ARGS = {
 }
 
 
-def _both_paths(graph, algorithm, *, seed, enforce, goal="strong", jitter=0,
+def _both_paths(graph, algorithm, *, seed, enforce, goal="strong",
                 delivery=None, fault_plan=None, join_plan=None):
     """Run one configuration on both paths; return (legacy, fast) engines
     and results."""
@@ -52,7 +52,6 @@ def _both_paths(graph, algorithm, *, seed, enforce, goal="strong", jitter=0,
             spec.node_factory(),
             seed=seed,
             goal=goal,
-            jitter=jitter,
             delivery=delivery,
             fault_plan=fault_plan,
             join_plan=join_plan,
@@ -89,7 +88,7 @@ def test_all_algorithms_match(algorithm, topology, id_space, enforce):
 def test_jitter_match(jitter, enforce):
     graph = make_topology("kout", 18, seed=4, k=3)
     legacy, fast = _both_paths(
-        graph, "namedropper", seed=7, enforce=enforce, jitter=jitter
+        graph, "namedropper", seed=7, enforce=enforce, delivery=f"jitter:{jitter}"
     )
     _assert_identical(legacy, fast)
 
@@ -141,7 +140,7 @@ def _golden_signature(engine, result):
     )
 
 
-def _run_golden(algorithm, *, fast, graph, seed, fault_plan=None, **delivery_kw):
+def _run_golden(algorithm, *, fast, graph, seed, delivery, fault_plan=None):
     engine = SynchronousEngine(
         graph,
         get_algorithm(algorithm).node_factory(),
@@ -150,7 +149,7 @@ def _run_golden(algorithm, *, fast, graph, seed, fault_plan=None, **delivery_kw)
         enforce_legality=True,
         fast_path=fast,
         algorithm_name=algorithm,
-        **delivery_kw,
+        delivery=delivery,
     )
     return engine, engine.run(max_rounds=4000)
 
@@ -160,25 +159,20 @@ def test_bounded_jitter_matches_pre_refactor_goldens(algorithm, jitter):
     """BoundedJitter through the transport layer is bit-identical to the
     pre-refactor inline ``jitter=J`` — same rounds, messages, pointers,
     and final knowledge — on both engine paths, however it is spelled
-    (``jitter=`` alias, model instance, or spec string)."""
+    (model instance or spec string)."""
     graph = make_topology("kout", 18, seed=4, k=3)
     want = _JITTER_GOLDENS[(algorithm, jitter)]
     for fast in (False, True):
-        spellings = [
-            {"jitter": jitter},
-            {"delivery": BoundedJitter(jitter)},
-            {"delivery": f"jitter:{jitter}"},
-        ]
         results = []
-        for kw in spellings:
+        for delivery in (BoundedJitter(jitter), f"jitter:{jitter}"):
             engine, result = _run_golden(
-                algorithm, fast=fast, graph=graph, seed=7, **kw
+                algorithm, fast=fast, graph=graph, seed=7, delivery=delivery
             )
-            assert _golden_signature(engine, result) == want, (fast, kw)
+            assert _golden_signature(engine, result) == want, (fast, delivery)
             results.append(result)
         # The spellings are not merely signature-equal: the full results
         # (per-kind counters, per-round trajectories) coincide.
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("fast", [False, True])
@@ -186,7 +180,7 @@ def test_bounded_jitter_with_loss_matches_golden(fast):
     graph = make_topology("kout", 24, seed=5, k=3)
     plan = FaultPlan(loss_rate=0.15, seed=3)
     engine_a, result_a = _run_golden(
-        "namedropper", fast=fast, graph=graph, seed=42, fault_plan=plan, jitter=2
+        "namedropper", fast=fast, graph=graph, seed=42, fault_plan=plan, delivery="jitter:2"
     )
     engine_b, result_b = _run_golden(
         "namedropper",
@@ -220,12 +214,6 @@ def test_delivery_models_match_across_paths(delivery, algorithm, enforce):
     _assert_identical(legacy, fast)
 
 
-def test_delivery_and_jitter_are_mutually_exclusive():
-    graph = {0: {1}, 1: {0}}
-    with pytest.raises(ValueError, match="not both"):
-        SynchronousEngine(graph, _UnknownIdNode, jitter=1, delivery="lockstep")
-
-
 @pytest.mark.parametrize("fast", [False, True])
 def test_protocol_violation_identical_under_transport_jitter(fast):
     """The legality guard raises the same error text when the violating
@@ -252,10 +240,10 @@ def test_faults_and_churn_match(algorithm, enforce):
     loss = FaultPlan(loss_rate=0.15, seed=3)
     crashes = crash_fraction_plan(graph.node_ids, 0.2, 3, seed=7)
     joins = JoinPlan(join_rounds={node: 4 for node in sorted(graph.node_ids)[:5]})
-    for fault_plan, join_plan, goal, jitter in [
-        (loss, None, "strong_alive", 1),
-        (crashes, None, "strong_alive", 0),
-        (None, joins, "weak", 0),
+    for fault_plan, join_plan, goal, delivery in [
+        (loss, None, "strong_alive", "jitter:1"),
+        (crashes, None, "strong_alive", None),
+        (None, joins, "weak", None),
     ]:
         legacy, fast = _both_paths(
             graph,
@@ -263,7 +251,7 @@ def test_faults_and_churn_match(algorithm, enforce):
             seed=42,
             enforce=enforce,
             goal=goal,
-            jitter=jitter,
+            delivery=delivery,
             fault_plan=fault_plan,
             join_plan=join_plan,
         )
@@ -290,7 +278,7 @@ def test_property_differential(graph, algorithm, seed, enforce, jitter, loss):
         algorithm,
         seed=seed,
         enforce=enforce,
-        jitter=jitter,
+        delivery=f"jitter:{jitter}" if jitter else None,
         fault_plan=fault_plan,
     )
     _assert_identical(legacy, fast)

@@ -27,21 +27,21 @@ class TestFaultPlan:
 class TestFaultInjector:
     def test_no_plan_never_drops(self):
         injector = FaultInjector(None, master_seed=1)
-        assert not any(injector.should_drop(1, 2) for _ in range(100))
+        assert all(injector.send_drop_reason(1, 2) is None for _ in range(100))
 
     def test_full_loss_always_drops(self):
         injector = FaultInjector(FaultPlan(loss_rate=1.0), master_seed=1)
-        assert all(injector.should_drop(1, 2) for _ in range(20))
+        assert all(injector.send_drop_reason(1, 2) is not None for _ in range(20))
 
     def test_loss_rate_is_roughly_respected(self):
         injector = FaultInjector(FaultPlan(loss_rate=0.3), master_seed=5)
-        drops = sum(injector.should_drop(1, 2) for _ in range(5000))
+        drops = sum(injector.send_drop_reason(1, 2) is not None for _ in range(5000))
         assert 0.25 < drops / 5000 < 0.35
 
     def test_loss_is_deterministic_in_seed(self):
         def pattern(seed: int) -> list:
             injector = FaultInjector(FaultPlan(loss_rate=0.5), master_seed=seed)
-            return [injector.should_drop(1, 2) for _ in range(50)]
+            return [injector.send_drop_reason(1, 2) is not None for _ in range(50)]
 
         assert pattern(3) == pattern(3)
         assert pattern(3) != pattern(4)
@@ -66,8 +66,8 @@ class TestFaultInjector:
         plan = FaultPlan(crash_rounds={9: 1})
         injector = FaultInjector(plan, master_seed=0)
         injector.apply_crashes(1)
-        assert all(injector.should_drop(1, 9) for _ in range(10))
-        assert not injector.should_drop(1, 2)
+        assert all(injector.send_drop_reason(1, 9) is not None for _ in range(10))
+        assert injector.send_drop_reason(1, 2) is None
 
 
 class TestCrashFractionPlan:

@@ -214,7 +214,7 @@ class TestEngineInFlightLoss:
             {0: {1}, 1: set(), 2: {1}},
             Pusher,
             seed=5,
-            jitter=3,
+            delivery="jitter:3",
             fault_plan=FaultPlan(crash_rounds={1: 3}),
         )
         for _ in range(6):

@@ -1,10 +1,9 @@
 """Footprint: what the package loads, and what a run keeps in memory.
 
-The package loads neither scipy nor networkx.  scipy serves only the
-t-quantile of a confidence interval
-(:func:`repro.analysis.stats.aggregate`) and networkx only the two
-converters in :mod:`repro.graphs.io`, so both are imported inside the
-functions that use them.  And a run on the fast store keeps each
+The package loads neither scipy nor networkx.  Nothing in it uses
+scipy, and networkx serves only the two converters in
+:mod:`repro.graphs.io`, which import it when called.  And a run on the
+fast store keeps each
 machine's knowledge once, in the store's masks: no protocol node holds
 a ``set`` of what it knows.  Each case runs in a fresh interpreter,
 because this test process has long since imported both and holds sets
@@ -64,18 +63,6 @@ def test_discovery_runs_without_scipy_and_networkx():
         block_optional=True,
     )
     assert out.strip() == "True"
-
-
-def test_single_sample_aggregate_needs_no_scipy():
-    out = _run(
-        """
-        from repro.analysis.stats import aggregate
-        summary = aggregate([3.0])
-        print(summary.ci_low, summary.ci_high)
-        """,
-        block_optional=True,
-    )
-    assert out.split() == ["3.0", "3.0"]
 
 
 def test_cli_run_without_scipy_and_networkx():
