@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from ...sim.faults import crash_fraction_plan
-from ...workloads import Trace, make_workload, run_trace_workload
+from ...workloads import make_workload, run_trace_workload
 from ..runner import Case, case_key, run_case
 from ..seeds import Scale
 from ..store import JOURNAL_SCHEMA, append_journal, load_journal

@@ -330,49 +330,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .live.cluster import ClusterSpec, LiveCluster, reference_digest
-    from .live.faults import LiveFaultPlan
     from .live.wire import encode_frame, read_frame
+    from .sim.faults import parse_kill_specs
 
     try:
-        fault_plan = LiveFaultPlan.from_kill_specs(
-            args.kill,
-            restart=[int(piece) for piece in args.restart.split(",") if piece.strip()],
+        crash_rounds = parse_kill_specs(args.kill)
+        restart = {int(piece) for piece in args.restart.split(",") if piece.strip()}
+        # Same convention as `repro run --loss`: faults auto-enable the
+        # algorithm's registered hostile hardening (e.g. the sublog family's
+        # resilient knobs — plain sublog's assignment structure does not
+        # heal around a crashed member).
+        params = dict(ALGORITHMS[args.algorithm].hostile_params) if crash_rounds else {}
+        spec = ClusterSpec(
+            n=args.n,
+            topology=args.topology,
+            algorithm=args.algorithm,
+            seed=args.seed,
+            rounds=args.rounds,
+            max_rounds=args.max_rounds,
+            params=params,
+            crash_rounds=crash_rounds,
+            restart=tuple(sorted(restart)),
+            marker_timeout=args.marker_timeout,
         )
+        cluster = LiveCluster(spec)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Same convention as `repro run --loss`: faults auto-enable the
-    # algorithm's registered hostile hardening (e.g. the sublog family's
-    # resilient knobs — plain sublog's assignment structure does not
-    # heal around a crashed member).
-    params = {}
-    if fault_plan.has_faults:
-        params = dict(ALGORITHMS[args.algorithm].hostile_params)
-    spec = ClusterSpec(
-        n=args.n,
-        topology=args.topology,
-        algorithm=args.algorithm,
-        seed=args.seed,
-        rounds=args.rounds,
-        max_rounds=args.max_rounds,
-        params=params,
-        fault_plan=fault_plan if fault_plan.has_faults else None,
-        marker_timeout=args.marker_timeout,
-    )
 
     async def drive():
-        cluster = LiveCluster(spec)
         await cluster.start()
         try:
             report = await cluster.run_discovery()
             # Prove revived endpoints actually serve: query each one's
             # status over a fresh TCP connection before teardown.
             restarted = []
-            for node_id in fault_plan.restart:
+            for node_id in spec.restart:
                 runtime = cluster.nodes[node_id]
-                reader, writer = await asyncio.open_connection(
-                    runtime.host, runtime.port
-                )
+                if not runtime.restarted:
+                    continue  # its kill was scheduled past the last round
+                reader, writer = await asyncio.open_connection(runtime.host, runtime.port)
                 writer.write(encode_frame({"t": "status"}))
                 await writer.drain()
                 restarted.append(await read_frame(reader))
@@ -387,16 +384,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     print(f"algorithm : {report.algorithm}")
     print(f"cluster   : n={report.n} seed={report.seed} (loopback TCP)")
-    if fault_plan.has_faults:
-        kills = ", ".join(
-            f"{node}@{fault_plan.crash_rounds[node]}" for node in fault_plan.victims()
-        )
+    if crash_rounds:
+        kills = ", ".join(f"{node}@{crash_rounds[node]}" for node in sorted(crash_rounds))
         print(f"faults    : kill {kills}")
         print(f"survivors : {len(report.survivors)}/{report.n} {list(report.survivors)}")
     print(f"complete  : {report.complete}")
     print(f"rounds    : {report.rounds}")
     print(f"messages  : {report.messages:,}")
-    scope = " (survivors)" if fault_plan.has_faults else ""
+    scope = " (survivors)" if crash_rounds else ""
     print(f"digest    : {report.digest}{scope}")
     print(f"wall time : {elapsed:.2f}s")
     for status in restarted:

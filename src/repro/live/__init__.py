@@ -14,36 +14,28 @@ Modules:
 
 * :mod:`repro.live.wire` — frame codec (4-byte length prefix + JSON)
   and the :class:`~repro.sim.messages.Message` wire mapping.
-* :mod:`repro.live.transport` — :class:`RealTransport`, a
-  :class:`~repro.sim.transport.DeliveryModel` whose in-flight buffer is
-  fed by the network instead of a simulated scheduler.
 * :mod:`repro.live.node` — one node: TCP server, peer connections,
-  marker-paced round loop, query service.
+  marker-paced round loop, failure detector, query service.
 * :mod:`repro.live.cluster` — spin up n nodes on loopback, run
-  discovery to closure, verify the digest against the simulator.
+  discovery to closure, verify the digest against the simulator;
+  :class:`ClusterSpec` also schedules crashes (``crash_rounds``), held
+  to the simulator's :class:`~repro.sim.faults.FaultInjector`
+  prediction under the same schedule.
 * :mod:`repro.live.loadgen` — concurrent census/overlay lookups
   against a serving cluster.
-* :mod:`repro.live.faults` — scheduled live crashes
-  (:class:`LiveFaultPlan`), held to the simulator's
-  :class:`~repro.sim.faults.FaultInjector` prediction.
 """
 
 from .cluster import ClusterReport, ClusterSpec, LiveCluster, reference_digest, run_cluster
-from .faults import LiveFaultPlan
 from .loadgen import LoadgenReport, run_loadgen
 from .node import LiveNodeRuntime, default_marker_timeout
-from .transport import LiveHostContext, RealTransport
 from .wire import encode_frame, message_to_wire, read_frame, wire_to_message
 
 __all__ = [
     "ClusterReport",
     "ClusterSpec",
     "LiveCluster",
-    "LiveFaultPlan",
-    "LiveHostContext",
     "LiveNodeRuntime",
     "LoadgenReport",
-    "RealTransport",
     "default_marker_timeout",
     "encode_frame",
     "message_to_wire",

@@ -14,13 +14,13 @@ cross-host check (mid-run states are only equal if every round matched
 bit for bit, whereas completed runs all share the complete-knowledge
 digest).
 
-Fault runs extend the same contract: a :class:`~repro.live.faults
-.LiveFaultPlan` on the spec kills live nodes at scheduled round
-boundaries, and the reference engine runs under the equivalent
-:class:`~repro.sim.faults.FaultPlan` with a survivors-know-everyone
-goal.  Both hosts freeze a victim at the top of its crash round, so the
-digest comparison holds over the full fleet *and* over the survivor
-slice (``survivors_only`` — what a real ``kill -9`` leaves observable).
+Fault runs extend the same contract: the spec's ``crash_rounds`` kill
+live nodes at scheduled round boundaries, and the reference engine runs
+under the same schedule (:meth:`ClusterSpec.fault_plan`) with a
+survivors-know-everyone goal.  Both hosts freeze a victim at the top of
+its crash round, so the digest comparison holds over the full fleet
+*and* over the survivor slice (``survivors_only`` — what a real
+``kill -9`` leaves observable).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from ..algorithms.registry import get_algorithm
 from ..graphs.generators import make_topology
 from ..graphs.knowledge import digest_knowledge
 from ..sim.engine import SynchronousEngine, default_max_rounds
+from ..sim.faults import FaultPlan
 from ..sim.rng import derive_rng
-from .faults import LiveFaultPlan
 from .node import LiveNodeRuntime
 
 
@@ -53,11 +53,28 @@ class ClusterSpec:
     max_rounds: Optional[int] = None
     host: str = "127.0.0.1"
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: Scheduled live crashes (and optional service-plane restarts).
-    fault_plan: Optional[LiveFaultPlan] = None
+    #: ``{node: round}`` fail-stop schedule: the node dies at the top of
+    #: that round (1-based), after absorbing the round before it.
+    crash_rounds: Mapping[int, int] = field(default_factory=dict)
+    #: Killed nodes whose endpoint is revived after the run, serving
+    #: their frozen knowledge; they never rejoin the round loop.
+    restart: Tuple[int, ...] = ()
     #: Per-round marker-wait deadline; ``None`` derives a default from
     #: the round budget, ``0`` or negative waits forever.
     marker_timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        self.fault_plan()  # FaultPlan rejects a crash round below 1
+        strays = sorted(set(self.restart) - set(self.crash_rounds))
+        if strays:
+            raise ValueError(f"restart of nodes never killed: {strays}")
+
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """The simulator's plan for this crash schedule; ``None`` if
+        nothing crashes."""
+        if not self.crash_rounds:
+            return None
+        return FaultPlan(crash_rounds=dict(self.crash_rounds))
 
     def build_graph(self):
         return make_topology(self.topology, self.n, seed=self.seed)
@@ -102,11 +119,9 @@ class LiveCluster:
         self.spec = spec
         self.graph = spec.build_graph()
         factory = spec.node_factory()
-        plan = spec.fault_plan or LiveFaultPlan()
-        unknown = sorted(set(plan.crash_rounds) - set(self.graph.node_ids))
+        unknown = sorted(set(spec.crash_rounds) - set(self.graph.node_ids))
         if unknown:
             raise ValueError(f"fault plan kills non-existent nodes: {unknown}")
-        self.fault_plan = plan
         self.nodes: Dict[int, LiveNodeRuntime] = {}
         for node_id in self.graph.node_ids:
             protocol = factory(node_id)
@@ -115,13 +130,9 @@ class LiveCluster:
             known.add(node_id)
             protocol.bind(known, derive_rng(spec.seed, "node", node_id))
             runtime = LiveNodeRuntime(
-                protocol,
-                self.graph.n,
-                seed=spec.seed,
-                host=spec.host,
-                marker_timeout=spec.marker_timeout,
+                protocol, self.graph.n, host=spec.host, marker_timeout=spec.marker_timeout
             )
-            runtime.crash_at_round = plan.crash_rounds.get(node_id)
+            runtime.crash_at_round = spec.crash_rounds.get(node_id)
             self.nodes[node_id] = runtime
 
     @property
@@ -175,8 +186,11 @@ class LiveCluster:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             raise
-        for node_id in self.fault_plan.restart:
-            await self.nodes[node_id].restart_service()
+        # A kill scheduled past the run's last round never fired, as in
+        # the simulator; only a node that died has an endpoint to revive.
+        for node_id in spec.restart:
+            if self.nodes[node_id].crashed_at is not None:
+                await self.nodes[node_id].restart_service()
         survivors = self.survivor_ids()
         return ClusterReport(
             n=self.graph.n,
@@ -248,21 +262,21 @@ def reference_digest(spec: ClusterSpec, rounds: Optional[int] = None) -> Tuple[s
     that many times — the strict mid-run comparison.  Otherwise the
     engine runs to its goal under the same round budget the cluster had.
 
-    When the spec carries a fault plan, the engine runs under the
-    equivalent :class:`~repro.sim.faults.FaultPlan` with the
-    survivors-know-everyone goal, and the returned digest covers the
-    *survivors only* — the slice :meth:`LiveCluster.digest`
-    (``survivors_only=True``) and :attr:`ClusterReport.digest` expose.
+    When the spec schedules crashes, the engine runs under
+    :meth:`ClusterSpec.fault_plan` with the survivors-know-everyone
+    goal, and the returned digest covers the *survivors only* — the
+    slice :meth:`LiveCluster.digest` (``survivors_only=True``) and
+    :attr:`ClusterReport.digest` expose.
     """
-    plan = spec.fault_plan or LiveFaultPlan()
+    plan = spec.fault_plan()
     engine = SynchronousEngine(
         spec.build_graph(),
         spec.node_factory(),
         seed=spec.seed,
-        goal=_survivors_complete_goal if plan.has_faults else "strong",
+        goal=_survivors_complete_goal if plan is not None else "strong",
         algorithm_name=spec.algorithm,
         params=dict(spec.params),
-        fault_plan=plan.to_sim_plan() if plan.has_faults else None,
+        fault_plan=plan,
     )
     exact = rounds if rounds is not None else spec.rounds
     if exact is not None:
@@ -270,7 +284,7 @@ def reference_digest(spec: ClusterSpec, rounds: Optional[int] = None) -> Tuple[s
             engine.step()
     else:
         engine.run(max_rounds=spec.round_budget())
-    if plan.has_faults:
+    if plan is not None:
         knowledge = engine.knowledge
         digest = digest_knowledge(
             {node: knowledge[node] for node in engine.alive_nodes}

@@ -14,10 +14,10 @@ simulated one):
 
 * same per-node RNG stream — ``derive_rng(seed, "node", node_id)``,
   exactly the engine's binding;
-* same inbox — round-``r`` traffic is buffered per sender and handed to
-  the transport as per-sender batches in ascending sender id, matching
-  the engine's sorted-id collection order, with per-connection TCP FIFO
-  plus the ptrs-before-eor send order guaranteeing batch completeness;
+* same inbox — round-``r`` traffic is buffered per sender and delivered
+  as per-sender batches in ascending sender id, matching the engine's
+  sorted-id collection order, with per-connection TCP FIFO plus the
+  ptrs-before-eor send order guaranteeing batch completeness;
 * same absorb timing — a message sent in round ``r`` is absorbed after
   round ``r``'s marker wait, i.e. before anyone runs round ``r + 1``,
   which is the engine's end-of-round delivery;
@@ -39,14 +39,14 @@ Failure model (the live mirror of :mod:`repro.sim.faults`):
   (:attr:`LiveNodeRuntime.marker_timeout`, default derived from the
   round budget).  A peer silent past the deadline is *suspected*: its
   round is treated as an empty batch and the loop moves on instead of
-  hanging forever.  ``suspect_after`` consecutive silent rounds
+  hanging forever.  :data:`SUSPECT_AFTER` consecutive silent rounds
   escalate the peer to *dead*.
 * **Death** — a peer whose connection cannot be re-established within
-  ``send_retries`` dial/write attempts (capped exponential backoff) is
-  marked dead immediately.  Dead peers are excluded from the marker
-  quorum and from the closure unanimity check, and protocol messages
-  addressed to them are charged as :data:`~repro.sim.metrics.DROP_CRASH`
-  losses — exactly the engine's send-to-crashed accounting.
+  :data:`SEND_RETRIES` re-dials (capped exponential backoff) is marked
+  dead immediately.  Dead peers are excluded from the marker quorum and
+  from the closure unanimity check, and protocol messages addressed to
+  them are charged as :data:`~repro.sim.metrics.DROP_CRASH` losses —
+  exactly the engine's send-to-crashed accounting.
 * **Injected crashes** — :attr:`LiveNodeRuntime.crash_at_round` makes
   the node fail-stop at the top of that round, after absorbing round
   ``R - 1`` traffic and before executing round ``R``: the same boundary
@@ -66,12 +66,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from types import SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..sim.messages import Message
-from ..sim.metrics import DROP_CRASH
+from ..sim.metrics import DROP_CRASH, MetricsCollector
 from ..sim.node import ProtocolNode
-from .transport import LiveHostContext, RealTransport
 from .wire import (
     WireError,
     encode_frame,
@@ -87,6 +87,16 @@ logger = logging.getLogger("repro.live.node")
 PEER_UP = "up"
 PEER_SUSPECT = "suspect"
 PEER_DEAD = "dead"
+
+#: Consecutive silent rounds before a suspect peer is declared dead.
+SUSPECT_AFTER = 2
+#: Per-attempt connect deadline (seconds) for outbound dials.
+DIAL_TIMEOUT = 5.0
+#: Re-dial/re-send attempts after a failed send before the peer is dead.
+SEND_RETRIES = 3
+#: First backoff sleep (seconds) between retries; doubles up to the cap.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 0.5
 
 
 def default_marker_timeout(round_budget: int) -> float:
@@ -124,20 +134,11 @@ class LiveNodeRuntime:
             exactly as the engine would have.  The runtime writes the
             row; the node only reads it.
         n: Fleet size — the strong-completion target ``len(known) == n``.
-        seed: Master seed (context/metrics bookkeeping only; the
-            protocol RNG is bound by the caller).
         host: Interface to bind; loopback unless deliberately exposed.
         marker_timeout: Per-round marker-wait deadline in seconds.
             ``None`` derives :func:`default_marker_timeout` from the
             round budget at run time; ``0`` or negative waits forever
             (the pre-fault-tolerance behavior).
-        suspect_after: Consecutive silent rounds before a suspect peer
-            is escalated to dead.
-        dial_timeout: Per-attempt connect deadline for outbound dials.
-        send_retries: Re-dial/re-send attempts after a failed send
-            before the peer is declared dead.
-        retry_backoff: Initial backoff sleep between retries; doubles
-            per attempt up to *retry_backoff_cap*.
     """
 
     def __init__(
@@ -145,22 +146,17 @@ class LiveNodeRuntime:
         protocol: ProtocolNode,
         n: int,
         *,
-        seed: int = 0,
         host: str = "127.0.0.1",
         marker_timeout: Optional[float] = None,
-        suspect_after: int = 2,
-        dial_timeout: float = 5.0,
-        send_retries: int = 3,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 0.5,
     ) -> None:
         self.protocol = protocol
         self.node_id = protocol.node_id
         self.n = n
         self.host = host
         self.port: Optional[int] = None
-        self.context = LiveHostContext(seed)
-        self.transport = RealTransport().bind(self.context)
+        #: ``context.metrics`` charges this node's sends, as
+        #: ``engine.metrics`` charges the simulator's.
+        self.context = SimpleNamespace(metrics=MetricsCollector())
         self.rounds_run = 0
         #: The node's row: what it knows, written here and nowhere else.
         self.known: Set[int] = protocol.known
@@ -168,11 +164,6 @@ class LiveNodeRuntime:
         self.shutdown_requested = asyncio.Event()
 
         self.marker_timeout = marker_timeout
-        self.suspect_after = max(1, suspect_after)
-        self.dial_timeout = dial_timeout
-        self.send_retries = max(0, send_retries)
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
 
         #: Fault injection: fail-stop at the top of this round (1-based).
         self.crash_at_round: Optional[int] = None
@@ -281,9 +272,9 @@ class LiveNodeRuntime:
             peer,
             round_no,
             strikes,
-            self.suspect_after,
+            SUSPECT_AFTER,
         )
-        if strikes >= self.suspect_after:
+        if strikes >= SUSPECT_AFTER:
             self._mark_dead(peer, f"marker-timeout round={round_no}")
 
     # -- the round loop ------------------------------------------------------------
@@ -309,10 +300,8 @@ class LiveNodeRuntime:
 
             outbox = self.protocol.run_round(round_no, self._inbox)
             self._inbox = []
-            for message in outbox or ():
-                self.transport.submit(message, round_no)
             by_recipient: Dict[int, List[Message]] = {}
-            for message in self.transport.take_outgoing():
+            for message in outbox or ():
                 by_recipient.setdefault(message.recipient, []).append(message)
             for recipient in sorted(by_recipient):
                 messages = by_recipient[recipient]
@@ -355,8 +344,9 @@ class LiveNodeRuntime:
 
             flags = self._markers.pop(round_no, {})
             batches = self._batches.pop(round_no, {})
-            delivered: List[Message] = []
+            known = self.known
             for sender in sorted(batches):
+                batch = batches[sender]
                 if sender not in flags:
                     # No end-of-round marker ⇒ the batch is unproven
                     # (the sender died or timed out mid-round).  The
@@ -366,17 +356,14 @@ class LiveNodeRuntime:
                         self.node_id,
                         sender,
                         round_no,
-                        len(batches[sender]),
+                        len(batch),
                     )
                     continue
-                delivered.extend(batches[sender])
-            self.transport.ingest(round_no + 1, delivered)
-            known = self.known
-            for message in self.transport.arrivals(round_no + 1):
-                self.protocol.absorb(message)
-                known.update(message.ids)
-                known.add(message.sender)
-                self._inbox.append(message)
+                for message in batch:
+                    self.protocol.absorb(message)
+                    known.update(message.ids)
+                    known.add(message.sender)
+                self._inbox.extend(batch)
             self.context.metrics.close_round(round_no)
             self.rounds_run = round_no
             self.complete = len(known) >= self.n
@@ -418,13 +405,9 @@ class LiveNodeRuntime:
                             round_no,
                         )
                 return
+            # No await since ``waiting`` was computed, so no frame can
+            # have landed in between: clearing here loses no wake-up.
             self._progress.clear()
-            markers = self._markers.get(round_no, {})
-            waiting = [
-                p for p in peers if p not in self._dead and p not in markers
-            ]
-            if not waiting:
-                continue
             if deadline is None:
                 await self._progress.wait()
                 continue
@@ -450,16 +433,7 @@ class LiveNodeRuntime:
         """
         self.crashed_at = round_no
         logger.warning("crash-injected node=%s round=%s", self.node_id, round_no)
-        for writer in list(self._writers.values()):
-            await _close_writer(writer)
-        self._writers.clear()
-        for writer in list(self._inbound):
-            await _close_writer(writer)
-        self._inbound.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self.close()
 
     # -- outbound ------------------------------------------------------------------
 
@@ -474,14 +448,14 @@ class LiveNodeRuntime:
         if peer in self._dead:
             return False
         last_error: Optional[BaseException] = None
-        delay = self.retry_backoff
-        for attempt in range(self.send_retries + 1):
+        delay = RETRY_BACKOFF
+        for attempt in range(SEND_RETRIES + 1):
             try:
                 writer = self._writers.get(peer)
                 if writer is None:
                     host, port = self._directory[peer]
                     _reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(host, port), self.dial_timeout
+                        asyncio.open_connection(host, port), DIAL_TIMEOUT
                     )
                     self._writers[peer] = writer
                     writer.write(encode_frame({"t": "hello", "from": self.node_id}))
@@ -493,10 +467,10 @@ class LiveNodeRuntime:
                 stale = self._writers.pop(peer, None)
                 if stale is not None:
                     stale.close()
-                if attempt < self.send_retries:
+                if attempt < SEND_RETRIES:
                     await asyncio.sleep(delay)
-                    delay = min(delay * 2, self.retry_backoff_cap)
-        attempts = self.send_retries + 1
+                    delay = min(delay * 2, RETRY_BACKOFF_CAP)
+        attempts = SEND_RETRIES + 1
         self._mark_dead(peer, f"send-failed after {attempts} attempts: {last_error!r}")
         return False
 

@@ -40,6 +40,7 @@ from .errors import ProtocolViolation
 from .messages import Message
 from .node import ProtocolNode
 
+
 class KnowledgeStore:
     """Ground-truth knowledge of one run, plus its derived counters.
 

@@ -1,8 +1,8 @@
 """Pluggable delivery models: the transport semantics of the round engine.
 
-:class:`~repro.sim.engine.SynchronousEngine` and the live host are
-written against one interface, so new delivery semantics become data,
-not engine surgery.  A :class:`DeliveryModel` owns two decisions:
+:class:`~repro.sim.engine.SynchronousEngine` is written against one
+interface, so new delivery semantics become data, not engine surgery.
+A :class:`DeliveryModel` owns two decisions:
 
 * **send-time scheduling** — :meth:`DeliveryModel.delay` picks how many
   rounds a message spends in flight (a message submitted in round ``r``
@@ -21,8 +21,8 @@ Shipped models:
   round's delivery bucket in one list move), so the layer costs the
   common case nothing.
 * :class:`BoundedJitter` — messages take ``1 .. 1 + jitter`` rounds,
-  uniform and deterministic in the seed.  Bit-identical to the engine's
-  historical inline ``jitter=`` knob (same RNG stream, same salt).
+  uniform and deterministic in the seed (salt ``"delivery-jitter"``,
+  pinned by the goldens in ``tests/sim/test_fast_path_equivalence.py``).
 * :class:`PerLinkLatency` — deterministic heterogeneous delays: each
   directed link gets a fixed delay in ``1 .. 1 + spread`` hashed stably
   from the run seed, modelling a fleet where some links are simply slow.
@@ -169,7 +169,7 @@ class DeliveryModel:
     def arrivals(self, round_no: int) -> List[Message]:
         """Pop the messages due at *round_no* and return those that land.
 
-        The one in-flight filter, shared by every store and both hosts: a
+        The engine's one in-flight filter, shared by every store: a
         message to a crashed or dormant recipient, or one the model's
         :meth:`drop_reason` vetoes, is lost and charged to the metrics.
         When the host keeps a delivery log (observers want one), every due
@@ -225,9 +225,9 @@ class BoundedJitter(DeliveryModel):
     """Bounded asynchrony: messages take ``1 .. 1 + jitter`` rounds.
 
     Delays are uniform and deterministic in the run seed, drawn from the
-    same derived stream (salt ``"delivery-jitter"``) the engine's
-    historical inline ``jitter=`` knob used — the two are bit-identical,
-    which the differential suite pins against pre-refactor signatures.
+    derived stream salted ``"delivery-jitter"``.  Changing the salt or the
+    draw order breaks the pre-refactor goldens pinned in
+    ``tests/sim/test_fast_path_equivalence.py``.
     """
 
     name = "jitter"

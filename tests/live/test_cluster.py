@@ -11,6 +11,7 @@ only hold if every round matched bit for bit.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.live.cluster import (
     reference_digest,
     run_cluster,
 )
+from repro.sim.engine import SynchronousEngine
 
 
 def _run(spec: ClusterSpec):
@@ -79,6 +81,37 @@ class TestExactRoundIdentity:
         expected, _ = reference_digest(spec)
         assert report.rounds == rounds
         assert report.digest == expected
+
+
+class TestSendAccounting:
+    @pytest.mark.parametrize("rounds", [3, 6])
+    @pytest.mark.parametrize(
+        "algorithm", ["sublog", "namedropper", "det_optimal", "chord_discover", "flooding"]
+    )
+    def test_fleet_metrics_match_engine(self, algorithm, rounds):
+        """The fleet's summed send counters equal the engine's after the
+        same number of rounds: every send is charged once, on one host
+        as on the other."""
+        spec = ClusterSpec(n=8, algorithm=algorithm, seed=7, rounds=rounds)
+
+        async def scenario():
+            cluster = LiveCluster(spec)
+            await cluster.start()
+            try:
+                await cluster.run_discovery()
+                return [runtime.context.metrics for runtime in cluster.nodes.values()]
+            finally:
+                await cluster.close()
+
+        fleet = asyncio.run(scenario())
+        engine = SynchronousEngine(spec.build_graph(), spec.node_factory(), seed=spec.seed)
+        for _ in range(rounds):
+            engine.step()
+        sim = engine.metrics
+        assert sum(m.total_messages for m in fleet) == sim.total_messages
+        assert sum(m.total_pointers for m in fleet) == sim.total_pointers
+        by_kind = sum((m.messages_by_kind for m in fleet), Counter())
+        assert by_kind == sim.messages_by_kind
 
 
 class TestClusterMechanics:

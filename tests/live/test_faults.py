@@ -17,7 +17,6 @@ import asyncio
 import pytest
 
 from repro.live.cluster import ClusterSpec, LiveCluster, reference_digest, run_cluster
-from repro.live.faults import LiveFaultPlan
 from repro.live.node import PEER_DEAD, default_marker_timeout
 from repro.live.wire import encode_frame, read_frame
 from repro.sim.faults import parse_kill_specs
@@ -36,13 +35,12 @@ def _run(spec: ClusterSpec, timeout: float = 60.0):
 
 class TestDifferential:
     def test_kill_one_node_mid_run_matches_sim(self):
-        plan = LiveFaultPlan(crash_rounds={3: 3})
         spec = ClusterSpec(
             n=8,
             algorithm="sublog",
             seed=7,
             params=RESILIENT,
-            fault_plan=plan,
+            crash_rounds={3: 3},
             marker_timeout=0.5,
         )
         report = _run(spec)
@@ -54,9 +52,8 @@ class TestDifferential:
         assert sim_rounds <= report.rounds <= sim_rounds + 2
 
     def test_namedropper_kill_matches_sim(self):
-        plan = LiveFaultPlan(crash_rounds={2: 2})
         spec = ClusterSpec(
-            n=8, algorithm="namedropper", seed=11, fault_plan=plan, marker_timeout=0.5
+            n=8, algorithm="namedropper", seed=11, crash_rounds={2: 2}, marker_timeout=0.5
         )
         report = _run(spec)
         expected, sim_rounds = reference_digest(spec)
@@ -65,9 +62,8 @@ class TestDifferential:
         assert sim_rounds <= report.rounds <= sim_rounds + 2
 
     def test_two_kills_match_sim(self):
-        plan = LiveFaultPlan(crash_rounds={1: 2, 6: 3})
         spec = ClusterSpec(
-            n=8, algorithm="rpj", seed=5, fault_plan=plan, marker_timeout=0.5
+            n=8, algorithm="rpj", seed=5, crash_rounds={1: 2, 6: 3}, marker_timeout=0.5
         )
         report = _run(spec)
         expected, sim_rounds = reference_digest(spec)
@@ -80,15 +76,11 @@ class TestDifferential:
         """Both hosts freeze the victim after round R-1, so even the
         full-fleet digest (frozen victim included) is identical."""
 
+        spec = ClusterSpec(
+            n=8, algorithm="flooding", seed=7, crash_rounds={3: 3}, marker_timeout=0.5
+        )
+
         async def scenario():
-            plan = LiveFaultPlan(crash_rounds={3: 3})
-            spec = ClusterSpec(
-                n=8,
-                algorithm="flooding",
-                seed=7,
-                fault_plan=plan,
-                marker_timeout=0.5,
-            )
             cluster = LiveCluster(spec)
             await cluster.start()
             try:
@@ -103,13 +95,12 @@ class TestDifferential:
         from repro.sim.engine import SynchronousEngine
 
         full_digest = asyncio.run(scenario())
-        spec = ClusterSpec(n=8, algorithm="flooding", seed=7)
         engine = SynchronousEngine(
             spec.build_graph(),
             spec.node_factory(),
             seed=7,
             algorithm_name="flooding",
-            fault_plan=LiveFaultPlan(crash_rounds={3: 3}).to_sim_plan(),
+            fault_plan=spec.fault_plan(),
         )
         engine.run(max_rounds=spec.round_budget())
         assert full_digest == engine.knowledge_digest()
@@ -118,9 +109,8 @@ class TestDifferential:
 class TestFailureDetector:
     def test_survivors_mark_victim_dead_in_status(self):
         async def scenario():
-            plan = LiveFaultPlan(crash_rounds={2: 2})
             spec = ClusterSpec(
-                n=6, algorithm="flooding", seed=3, fault_plan=plan, marker_timeout=0.5
+                n=6, algorithm="flooding", seed=3, crash_rounds={2: 2}, marker_timeout=0.5
             )
             cluster = LiveCluster(spec)
             await cluster.start()
@@ -153,9 +143,13 @@ class TestFailureDetector:
 class TestRestart:
     def test_restarted_victim_serves_frozen_knowledge(self):
         async def scenario():
-            plan = LiveFaultPlan(crash_rounds={2: 2}, restart=(2,))
             spec = ClusterSpec(
-                n=6, algorithm="flooding", seed=3, fault_plan=plan, marker_timeout=0.5
+                n=6,
+                algorithm="flooding",
+                seed=3,
+                crash_rounds={2: 2},
+                restart=(2,),
+                marker_timeout=0.5,
             )
             cluster = LiveCluster(spec)
             await cluster.start()
@@ -184,6 +178,28 @@ class TestRestart:
         assert status["restarted"] is True
         # Frozen pre-crash knowledge, not the survivors' closure state.
         assert set(known["ids"]) == frozen
+
+    def test_restart_skips_a_kill_that_never_fired(self):
+        """A kill scheduled past the run's last round never fires, as in
+        the simulator, so there is no endpoint to revive."""
+
+        async def scenario():
+            spec = ClusterSpec(
+                n=8, algorithm="flooding", seed=7, crash_rounds={3: 50}, restart=(3,)
+            )
+            cluster = LiveCluster(spec)
+            await cluster.start()
+            try:
+                report = await asyncio.wait_for(cluster.run_discovery(), 60)
+                return spec, report, cluster.nodes[3]
+            finally:
+                await cluster.close()
+
+        spec, report, node = asyncio.run(scenario())
+        assert report.crashed == ()
+        assert report.complete
+        assert node.crashed_at is None and not node.restarted
+        assert report.digest == reference_digest(spec)[0]
 
     def test_restart_service_requires_a_crash(self):
         async def scenario():
@@ -214,7 +230,11 @@ class TestPlans:
 
     def test_plan_rejects_restart_of_unkilled_node(self):
         with pytest.raises(ValueError):
-            LiveFaultPlan(crash_rounds={3: 5}, restart=(4,))
+            ClusterSpec(crash_rounds={3: 5}, restart=(4,))
+
+    def test_spec_rejects_crash_round_below_one(self):
+        with pytest.raises(ValueError):
+            ClusterSpec(crash_rounds={3: 0})
 
     def test_cluster_rejects_plan_for_unknown_node(self):
         with pytest.raises(ValueError):
@@ -223,7 +243,7 @@ class TestPlans:
                     n=4,
                     algorithm="flooding",
                     seed=0,
-                    fault_plan=LiveFaultPlan(crash_rounds={99: 2}),
+                    crash_rounds={99: 2},
                 )
             )
 

@@ -188,6 +188,27 @@ class TestServe:
         assert code == 0
         assert "MATCH" in out
 
+    def test_serve_kill_outside_fleet_is_a_usage_error(self, capsys):
+        code = main(
+            ["serve", "--n", "8", "--algorithm", "flooding", "--seed", "7",
+             "--kill", "99@2"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: fault plan kills non-existent nodes: [99]"]
+
+    def test_serve_restart_after_a_kill_that_never_fired(self, capsys):
+        # Flooding closes long before round 50, so node 3 never dies.
+        code = main(
+            ["serve", "--n", "8", "--algorithm", "flooding", "--seed", "7",
+             "--kill", "3@50", "--restart", "3", "--verify-digest"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "survivors : 8/8" in out
+        assert "restarted" not in out
+        assert "MATCH" in out
+
 
 class TestLoadgen:
     def test_loadgen_self_hosted(self, capsys):
