@@ -85,6 +85,7 @@ def leader_census(
         seed=seed,
         goal="weak",
         delivery=delivery,
+        fast_path=True,
         algorithm_name=algorithm,
         params=params,
     )

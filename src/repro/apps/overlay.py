@@ -147,6 +147,7 @@ def form_ring(
         seed=seed,
         goal="weak",
         delivery=delivery,
+        fast_path=True,
         algorithm_name=algorithm,
         params=params,
     )

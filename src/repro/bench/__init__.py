@@ -25,7 +25,6 @@ from .sweeprun import (
     CellFailure,
     CellTimeout,
     SweepError,
-    SweepOptions,
     SweepProgress,
     SweepReport,
     SweepRunner,
@@ -45,7 +44,6 @@ __all__ = [
     "Scale",
     "Series",
     "SweepError",
-    "SweepOptions",
     "SweepProgress",
     "SweepReport",
     "SweepRunner",

@@ -15,7 +15,7 @@ from ...analysis.bounds import lower_bound_rounds
 from ...graphs.generators import make_topology
 from ..runner import index_results, sweep
 from ..seeds import Scale
-from ..sweeprun import SweepOptions
+from ..sweeprun import SweepRunner
 from ..tables import ExperimentReport, Figure
 
 EXPERIMENT_ID = "F1"
@@ -26,7 +26,7 @@ ALGORITHMS = ("sublog", "sublogcoin", "namedropper", "flooding")
 SIZE_CAPS = {"flooding": 2048, "namedropper": 8192, "sublogcoin": 16384}
 
 
-def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentReport:
+def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     results = sweep(
         ALGORITHMS,
@@ -35,7 +35,7 @@ def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentRepor
         scale.seeds,
         topology_params={"k": 3},
         size_caps=SIZE_CAPS,
-        **(options.sweep_kwargs() if options else {}),
+        runner=runner,
     )
     indexed = index_results(results)
 

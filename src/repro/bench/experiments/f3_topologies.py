@@ -19,7 +19,7 @@ from ...analysis.bounds import lower_bound_rounds
 from ...graphs.generators import make_topology
 from ..runner import index_results, sweep
 from ..seeds import Scale
-from ..sweeprun import SweepOptions
+from ..sweeprun import SweepRunner
 from ..tables import ExperimentReport, Table
 
 EXPERIMENT_ID = "F3"
@@ -39,7 +39,7 @@ TOPOLOGIES = (
 )
 
 
-def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentReport:
+def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     n = scale.focus_n
     table = Table(
@@ -54,14 +54,13 @@ def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentRepor
         bound = lower_bound_rounds(probe, exact=n <= 1500)
         # One sweep (and so one journal) per topology: each is its own
         # case matrix, so a shared journal would fail the digest check.
-        stage = options.for_stage(topology) if options else None
         results = sweep(
             ALGORITHMS,
             topology,
             [n],
             scale.seeds,
             params_by_algorithm={"swamping": {"full": False}},
-            **(stage.sweep_kwargs() if stage else {}),
+            runner=runner.for_stage(topology) if runner else None,
         )
         indexed = index_results(results)
         row: list[object] = [topology, diameter, bound]

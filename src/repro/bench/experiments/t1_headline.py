@@ -26,7 +26,7 @@ from ...analysis.fitting import fit_all_models
 from ...graphs.generators import make_topology
 from ..runner import index_results, sweep
 from ..seeds import Scale
-from ..sweeprun import SweepOptions
+from ..sweeprun import SweepRunner
 from ..tables import ExperimentReport, Table
 
 EXPERIMENT_ID = "T1"
@@ -50,7 +50,7 @@ SIZE_CAPS = {
 }
 
 
-def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentReport:
+def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     results = sweep(
         ALGORITHMS,
@@ -60,7 +60,7 @@ def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentRepor
         params_by_algorithm={"swamping": {"full": False}},
         topology_params={"k": 3},
         size_caps=SIZE_CAPS,
-        **(options.sweep_kwargs() if options else {}),
+        runner=runner,
     )
     indexed = index_results(results)
 

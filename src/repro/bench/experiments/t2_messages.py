@@ -29,7 +29,7 @@ from ...algorithms import algorithm_names
 from ...analysis.bounds import optimal_message_bound
 from ..runner import index_results, sweep
 from ..seeds import Scale
-from ..sweeprun import SweepOptions
+from ..sweeprun import SweepRunner
 from ..tables import ExperimentReport, Table
 
 EXPERIMENT_ID = "T2"
@@ -45,7 +45,7 @@ RANDOMIZED = ("rpj", "namedropper", "sublog", "sublogcoin")
 SIZE_CAPS = {"swamping": 512, "chord_discover": 1024}
 
 
-def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentReport:
+def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentReport:
     algorithms = tuple(algorithm_names())
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     results = sweep(
@@ -56,7 +56,7 @@ def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentRepor
         params_by_algorithm={"swamping": {"full": False}},
         topology_params={"k": 3},
         size_caps=SIZE_CAPS,
-        **(options.sweep_kwargs() if options else {}),
+        runner=runner,
     )
     indexed = index_results(results)
 

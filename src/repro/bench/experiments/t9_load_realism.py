@@ -28,10 +28,14 @@ protocol costs:
   knowledge seam; compared against the static graph on rounds and
   messages.
 
-With :class:`~repro.bench.sweeprun.SweepOptions` carrying a journal
-path, every cell is journaled under its canonical
-:func:`~repro.bench.runner.case_key` (one forked journal per stage, as
-F3 does) and ``resume`` restores finished cells without re-running.
+T9's cells are trace replays, not sweep cells, so of a
+:class:`~repro.bench.sweeprun.SweepRunner` it reads only ``journal`` and
+``resume``.  With a journal, every cell is journaled under its canonical
+:func:`~repro.bench.runner.case_key` (one journal per stage, forked with
+:meth:`~repro.bench.sweeprun.SweepRunner.for_stage` as F3 does),
+``resume`` restores finished cells without re-running, and an existing
+stage journal without ``resume`` is refused as ``SweepRunner`` refuses
+one.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from ...workloads import make_workload, run_trace_workload
 from ..runner import Case, case_key, run_case
 from ..seeds import Scale
 from ..store import JOURNAL_SCHEMA, append_journal, load_journal
-from ..sweeprun import SweepOptions
+from ..sweeprun import SweepRunner, journal_is_fresh
 from ..tables import ExperimentReport, Table
 
 EXPERIMENT_ID = "T9"
@@ -65,23 +69,17 @@ class _StageCells:
     configured each computed payload is appended durably
     (:func:`repro.bench.store.append_journal`) and a resume run restores
     it through :func:`repro.bench.store.load_journal` instead of
-    re-simulating.
+    re-simulating.  An existing journal without ``resume`` raises
+    :class:`FileExistsError`.
     """
 
-    def __init__(self, options: Optional[SweepOptions], stage: str) -> None:
+    def __init__(self, runner: Optional[SweepRunner], stage: str) -> None:
         self.path: Optional[Path] = None
         self._cached: Dict[str, Dict[str, Any]] = {}
-        if options is None or options.journal is None:
+        if runner is None or runner.journal is None:
             return
-        staged = options.for_stage(stage)
-        self.path = Path(staged.journal)
-        if options.resume and self.path.exists():
-            _manifest, results, _failures = load_journal(self.path)
-            self._cached = {
-                key: dict(record["payload"]) for key, record in results.items()
-            }
-        else:
-            self.path.unlink(missing_ok=True)
+        self.path = Path(runner.for_stage(stage).journal)
+        if journal_is_fresh(self.path, runner.resume):
             append_journal(
                 self.path,
                 {
@@ -91,10 +89,9 @@ class _StageCells:
                     "stage": stage,
                 },
             )
-
-    @property
-    def restored(self) -> int:
-        return len(self._cached)
+        else:
+            _manifest, results, _failures = load_journal(self.path)
+            self._cached = {key: dict(record["payload"]) for key, record in results.items()}
 
     def cell(
         self, case: Case, compute: Callable[[], Dict[str, Any]]
@@ -124,9 +121,9 @@ def _hot_decile(lookups: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _zipf_stage(
-    report: ExperimentReport, scale: Scale, options: Optional[SweepOptions]
+    report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(options, "t9a")
+    cells = _StageCells(runner, "t9a")
     n = scale.focus_n
     table = Table(
         f"T9a: Zipf-skewed lookup demand (kout, n={n}, {LOOKUP_ROUNDS}-round window)",
@@ -200,9 +197,9 @@ def _zipf_stage(
 
 
 def _flash_stage(
-    report: ExperimentReport, scale: Scale, options: Optional[SweepOptions]
+    report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(options, "t9b")
+    cells = _StageCells(runner, "t9b")
     n = scale.focus_n
     table = Table(
         f"T9b: flash crowd (kout, n={n}, burst at round 8)",
@@ -283,13 +280,13 @@ def _flash_stage(
 
 
 def _failures_stage(
-    report: ExperimentReport, scale: Scale, options: Optional[SweepOptions]
+    report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
     from ...algorithms import ALGORITHMS as REGISTRY
     from ...workloads import fault_plan_from_trace
     from ..runner import build_graph
 
-    cells = _StageCells(options, "t9c")
+    cells = _StageCells(runner, "t9c")
     n = scale.focus_n
     clusters = 8
     table = Table(
@@ -414,9 +411,9 @@ def _failures_stage(
 
 
 def _dynamic_stage(
-    report: ExperimentReport, scale: Scale, options: Optional[SweepOptions]
+    report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(options, "t9d")
+    cells = _StageCells(runner, "t9d")
     n = scale.focus_n
     table = Table(
         f"T9d: dynamic contact-edge churn (kout, n={n}, 8 edges/round "
@@ -496,13 +493,13 @@ def _dynamic_stage(
     return summary
 
 
-def run(scale: Scale, options: Optional[SweepOptions] = None) -> ExperimentReport:
+def run(scale: Scale, runner: Optional[SweepRunner] = None) -> ExperimentReport:
     report = ExperimentReport(EXPERIMENT_ID, TITLE)
     summary: Dict[str, Any] = {}
-    summary["zipf"] = _zipf_stage(report, scale, options)
-    summary["flash"] = _flash_stage(report, scale, options)
-    summary["failures"] = _failures_stage(report, scale, options)
-    summary["dynamic"] = _dynamic_stage(report, scale, options)
+    summary["zipf"] = _zipf_stage(report, scale, runner)
+    summary["flash"] = _flash_stage(report, scale, runner)
+    summary["failures"] = _failures_stage(report, scale, runner)
+    summary["dynamic"] = _dynamic_stage(report, scale, runner)
     report.note(
         "demand is read-only, so every message/round column matches the "
         "uniform experiments; what realistic load changes is *service*. "

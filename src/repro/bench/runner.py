@@ -1,8 +1,10 @@
 """Sweep execution for the benchmark harness.
 
 :func:`run_case` executes one (algorithm, topology, n, seed) cell;
-:func:`sweep` executes a full matrix, optionally fanned out over worker
-processes.  Runs in the harness disable the per-message legality check by
+:func:`sweep` builds a full matrix and runs it through a
+:class:`~repro.bench.sweeprun.SweepRunner`, the one object that carries
+execution settings (workers, retries, timeouts, journal, legality,
+store).  Runs in the harness disable the per-message legality check by
 default — the model conformance of every shipped algorithm is established
 by the test suite (including the strict ball-containment observer), so the
 harness pays for it only in experiment F4, which is *about* the invariant.
@@ -13,7 +15,7 @@ to measure protocols, not to re-prove the engine.
 
 Parallel sweeps are deterministic: every cell's randomness derives from
 the cell's own seed (see :func:`sweep_seeds` for deriving a seed list from
-one master seed via ``sim.rng``), each worker rebuilds its input graph
+one master seed via ``sim.rng``), each cell rebuilds its input graph
 from that seed, and results return in case order — so ``workers=8`` and
 ``workers=1`` produce identical result lists.
 """
@@ -21,11 +23,10 @@ from that seed, and results return in case order — so ``workers=8`` and
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -43,6 +44,9 @@ from ..sim.metrics import RunResult
 from ..sim.observers import Observer
 from ..sim.rng import derive_seed
 from ..sim.transport import DeliveryModel
+
+if TYPE_CHECKING:
+    from .sweeprun import SweepRunner
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,6 @@ def run_case(
     )
 
 
-def _run_sweep_case(payload: Tuple[Case, bool, Optional[str]]) -> RunResult:
-    """Module-level worker body (must be picklable for spawn workers)."""
-    case, enforce_legality, backend = payload
-    return run_case(case, enforce_legality=enforce_legality, backend=backend)
-
-
 def build_cases(
     algorithms: Sequence[str],
     topology: str,
@@ -210,17 +208,8 @@ def sweep(
     params_by_algorithm: Optional[Mapping[str, Mapping[str, Any]]] = None,
     topology_params: Optional[Mapping[str, Any]] = None,
     size_caps: Optional[Mapping[str, int]] = None,
-    workers: Optional[int] = None,
-    enforce_legality: bool = False,
-    backend: Optional[str] = None,
     delivery: Optional[Union[str, DeliveryModel]] = None,
-    retries: int = 0,
-    cell_timeout: Optional[float] = None,
-    journal: Optional[Any] = None,
-    resume: bool = False,
-    progress: Optional[Callable[[Any], None]] = None,
-    on_failure: str = "raise",
-    _test_fault_hook: Optional[Callable[[Case, int], None]] = None,
+    runner: Optional[SweepRunner] = None,
 ) -> List[RunResult]:
     """Run a full (algorithm × size × seed) matrix on one topology.
 
@@ -229,29 +218,21 @@ def sweep(
     n ≈ 512 buys no insight for minutes of wall clock).  Capped cells are
     simply absent from the result list; tables render them as ``-``.
 
-    ``workers`` > 1 distributes the cells over a process pool.  Each
-    worker rebuilds its cell's graph deterministically from the cell seed,
-    and the result list keeps case order, so the output is identical to a
-    serial sweep.
-
     ``delivery`` applies one delivery-model spec to every cell (each run
     binds its own per-run state, so sharing the spec is safe — including
     across worker processes, where it travels by pickle inside the case).
 
-    The remaining keywords select the crash-safe execution layer
-    (:class:`repro.bench.sweeprun.SweepRunner`): ``retries`` re-attempts a
-    failing cell with bounded seed-deterministic backoff, ``cell_timeout``
-    bounds one cell's wall clock, ``journal``/``resume`` persist completed
-    cells to an append-only JSONL log and skip them on restart, and
-    ``progress`` receives a :class:`~repro.bench.sweeprun.SweepProgress`
-    event per finished cell.  ``on_failure`` decides what a cell that
-    still fails after its retries does to the sweep: ``"raise"`` (the
-    default) raises :class:`~repro.bench.sweeprun.SweepError` *after*
-    every other cell has run (and been journaled), ``"skip"`` leaves the
-    failed cells out of the result list.  With none of these engaged the
-    sweep runs on the plain in-process paths below, byte-for-byte as it
-    always has.
+    ``runner`` executes the cells; ``None`` means a default
+    :class:`~repro.bench.sweeprun.SweepRunner` (serial, no retries, no
+    journal, legality off, the default store).  Results come back in case
+    order.  If any cell still fails after the runner's retries, this
+    raises :class:`~repro.bench.sweeprun.SweepError` naming the failed
+    cells *after* every other cell has run (and been journaled).  A
+    caller that wants the partial results calls
+    :meth:`SweepRunner.run` on :func:`build_cases` itself.
     """
+    from .sweeprun import SweepError, SweepRunner  # sweeprun imports this module
+
     cases = build_cases(
         algorithms,
         topology,
@@ -263,57 +244,10 @@ def sweep(
         size_caps=size_caps,
         delivery=delivery,
     )
-
-    robust = (
-        retries
-        or cell_timeout is not None
-        or journal is not None
-        or resume
-        or progress is not None
-        or on_failure != "raise"
-        or _test_fault_hook is not None
-    )
-    if robust:
-        from .sweeprun import SweepError, SweepRunner
-
-        runner = SweepRunner(
-            workers=workers,
-            retries=retries,
-            cell_timeout=cell_timeout,
-            journal=journal,
-            resume=resume,
-            progress=progress,
-            enforce_legality=enforce_legality,
-            backend=backend,
-            fault_hook=_test_fault_hook,
-        )
-        report = runner.run(cases)
-        if report.failures and on_failure == "raise":
-            raise SweepError(report.failures)
-        return report.results
-
-    if workers is not None and workers > 1 and len(cases) > 1:
-        payloads = [(case, enforce_legality, backend) for case in cases]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_sweep_case, payloads))
-
-    results: List[RunResult] = []
-    graph_cache: Dict[Tuple[int, int], KnowledgeGraph] = {}
-    for case in cases:
-        key = (case.n, case.seed)
-        graph = graph_cache.get(key)
-        if graph is None:
-            graph = build_graph(case)
-            graph_cache[key] = graph
-        results.append(
-            run_case(
-                case,
-                graph=graph,
-                enforce_legality=enforce_legality,
-                backend=backend,
-            )
-        )
-    return results
+    report = (runner or SweepRunner()).run(cases)
+    if report.failures:
+        raise SweepError(report.failures)
+    return report.results
 
 
 def index_results(

@@ -1,10 +1,11 @@
 """Crash-safe, resumable sweep execution.
 
-:func:`repro.bench.runner.sweep` answers "run this matrix"; this module
-answers "run this matrix *overnight*".  A long sweep dies for boring
-reasons — one pathological cell, an OOM kill, a laptop lid — and the
-plain runner loses everything with it.  :class:`SweepRunner` hardens the
-same cell semantics:
+Every sweep runs its cells through :class:`SweepRunner`:
+:func:`repro.bench.runner.sweep` builds the case matrix and hands it
+here, and ``repro sweep`` and ``repro experiment`` build the runner from
+their flags.  A long sweep dies for boring reasons — one pathological
+cell, an OOM kill, a laptop lid — so the runner wraps the cell body
+(:func:`~repro.bench.runner.run_case`):
 
 * every cell runs inside a guard, so a worker exception becomes a
   structured :class:`CellFailure` record instead of a sweep abort;
@@ -42,8 +43,9 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..sim.metrics import RunResult
 from ..sim.rng import derive_seed
@@ -69,7 +71,7 @@ class CellTimeout(Exception):
 
 
 class SweepError(RuntimeError):
-    """Raised after a robust sweep finishes with cells still failing.
+    """Raised by :func:`~repro.bench.runner.sweep` when cells still fail.
 
     Raised *after* every other cell has run (and been journaled), so a
     journal + resume never loses sibling work to one bad cell.
@@ -146,57 +148,13 @@ class SweepProgress:
 
 @dataclass
 class SweepReport:
-    """Everything a robust sweep learned."""
+    """Everything a sweep learned."""
 
     results: List[RunResult]
     failures: List[CellFailure]
     completed: int = 0
     resumed: int = 0
     retried: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    """Robustness knobs, bundled so experiment drivers can thread them
-    through to :func:`repro.bench.runner.sweep` without growing their own
-    six keyword arguments."""
-
-    workers: Optional[int] = None
-    retries: int = 0
-    cell_timeout: Optional[float] = None
-    journal: Optional[Union[str, Path]] = None
-    resume: bool = False
-    progress: Optional[Callable[[SweepProgress], None]] = None
-    on_failure: str = "raise"
-
-    def sweep_kwargs(self) -> Dict[str, Any]:
-        return {
-            "workers": self.workers,
-            "retries": self.retries,
-            "cell_timeout": self.cell_timeout,
-            "journal": self.journal,
-            "resume": self.resume,
-            "progress": self.progress,
-            "on_failure": self.on_failure,
-        }
-
-    def for_stage(self, stage: str) -> "SweepOptions":
-        """These options with the journal forked per stage.
-
-        A driver that runs several sweeps (F3 sweeps once per topology)
-        cannot share one journal — each sweep is its own case matrix with
-        its own digest — so each stage journals to ``<stem>.<stage>.jsonl``
-        next to the configured path.
-        """
-        if self.journal is None:
-            return self
-        path = Path(self.journal)
-        suffix = path.suffix or ".jsonl"
-        return replace(self, journal=path.with_name(f"{path.stem}.{stage}{suffix}"))
 
 
 # -- fault-injection hooks (picklable, for tests and CI) ----------------------------
@@ -298,46 +256,30 @@ def _call_with_timeout(thunk: Callable[[], RunResult], timeout: Optional[float])
 
 @dataclass
 class _CellOutcome:
-    """Picklable envelope a worker sends back for one cell."""
+    """Picklable envelope a worker sends back for one cell: its result, or
+    its failure record once every attempt has failed."""
 
     index: int
-    key: str
     attempts: int
     result: Optional[RunResult] = None
-    error_type: str = ""
-    error_message: str = ""
-    traceback_tail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
+    failure: Optional[CellFailure] = None
 
 
 def _execute_cell(
-    payload: Tuple[
-        int,
-        str,
-        Case,
-        bool,
-        Optional[str],
-        int,
-        Optional[float],
-        Optional[Callable],
-    ],
+    index: int,
+    key: str,
+    case: Case,
+    *,
+    enforce_legality: bool,
+    backend: Optional[str],
+    retries: int,
+    cell_timeout: Optional[float],
+    fault_hook: Optional[Callable[[Case, int], None]],
 ) -> _CellOutcome:
     """Module-level worker body: run one cell with retries inside the
     worker, so the pool sees exactly one task per cell and the retry
     schedule stays with the cell regardless of which process runs it."""
-    (
-        index,
-        key,
-        case,
-        enforce_legality,
-        backend,
-        retries,
-        cell_timeout,
-        fault_hook,
-    ) = payload
+
     def _attempt(attempt: int) -> RunResult:
         # The hook runs inside the timed region: a SlowCell stall is a
         # stand-in for a slow cell and must trip the timeout like one.
@@ -349,7 +291,7 @@ def _execute_cell(
     for attempt in range(retries + 1):
         try:
             result = _call_with_timeout(lambda: _attempt(attempt), cell_timeout)
-            return _CellOutcome(index=index, key=key, attempts=attempt + 1, result=result)
+            return _CellOutcome(index=index, attempts=attempt + 1, result=result)
         except Exception as error:  # noqa: BLE001 — the guard is the point
             last = error
             if attempt < retries:
@@ -357,14 +299,16 @@ def _execute_cell(
     tail = "".join(
         traceback.format_exception(type(last), last, last.__traceback__)
     ).splitlines()[-TRACEBACK_TAIL:]
-    return _CellOutcome(
+    failure = CellFailure(
         index=index,
         key=key,
+        case=case,
         attempts=retries + 1,
         error_type=type(last).__name__,
         error_message=str(last),
         traceback_tail="\n".join(tail),
     )
+    return _CellOutcome(index=index, attempts=retries + 1, failure=failure)
 
 
 # -- the runner ---------------------------------------------------------------------
@@ -373,6 +317,23 @@ def _execute_cell(
 def matrix_digest(keys: Sequence[str]) -> str:
     """Stable fingerprint of a case matrix (order-sensitive)."""
     return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
+
+
+def journal_is_fresh(path: Path, resume: bool) -> bool:
+    """True when *path* starts a new journal, False when it is resumed.
+
+    A missing or empty file is fresh.  An existing journal is continued
+    only with *resume*; without it this raises :class:`FileExistsError`,
+    so a rerun that forgot ``--resume`` never overwrites finished cells.
+    """
+    if not path.exists() or path.stat().st_size == 0:
+        return True
+    if not resume:
+        raise FileExistsError(
+            f"{path}: journal already exists; pass resume=True "
+            "(--resume) to continue it, or remove the file"
+        )
+    return False
 
 
 def _git_describe() -> str:
@@ -390,11 +351,13 @@ def _git_describe() -> str:
 
 @dataclass
 class SweepRunner:
-    """Crash-safe executor for a list of :class:`Case` cells.
+    """Crash-safe executor for a list of :class:`Case` cells, and the one
+    holder of sweep settings.
 
-    Usually reached through ``sweep(..., retries=..., journal=...)``;
-    instantiate directly when you already hold a case list (the CLI and
-    the tests do).
+    Pass one to :func:`~repro.bench.runner.sweep` (``runner=``) or to an
+    experiment driver's ``run``; call :meth:`run` directly when you
+    already hold a case list and want partial results on failure (the
+    ``repro sweep`` command does).  ``resume=True`` needs a ``journal``.
     """
 
     workers: Optional[int] = None
@@ -407,6 +370,26 @@ class SweepRunner:
     backend: Optional[str] = None
     fault_hook: Optional[Callable[[Case, int], None]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.resume and self.journal is None:
+            raise ValueError("resume=True (--resume) needs a journal (--journal) to resume from")
+
+    def for_stage(self, stage: str) -> "SweepRunner":
+        """A copy of this runner whose journal is forked for *stage*.
+
+        Separate sweeps cannot share one journal — each is its own case
+        matrix with its own digest — so a stage journals to
+        ``<stem>.<stage>.jsonl`` next to the configured path.  ``repro
+        experiment`` forks one per experiment id; F3 forks one per
+        topology below that, and T9 one per stage.  A runner without a
+        journal is returned as it is.
+        """
+        if self.journal is None:
+            return self
+        path = Path(self.journal)
+        suffix = path.suffix or ".jsonl"
+        return replace(self, journal=path.with_name(f"{path.stem}.{stage}{suffix}"))
 
     def run(self, cases: Sequence[Case]) -> SweepReport:
         keys = [case_key(case) for case in cases]
@@ -425,18 +408,26 @@ class SweepRunner:
         pending = [index for index in range(len(cases)) if index not in restored]
         for outcome in self._execute(pending, cases, keys):
             outcomes[outcome.index] = outcome
-            if outcome.attempts > 1 or not outcome.ok:
-                # A cell that settled on attempt k spent k-1 retries; a
-                # failed cell spent all of them.
-                counts["retried"] += outcome.attempts - (1 if outcome.ok else 0)
-            if outcome.ok:
+            if outcome.failure is None:
+                # A cell that settled on attempt k spent k-1 retries.
+                counts["retried"] += outcome.attempts - 1
                 counts["completed"] += 1
-                self._journal_result(outcome)
+                self._journal(
+                    {
+                        "type": "result",
+                        "key": keys[outcome.index],
+                        "index": outcome.index,
+                        "attempts": outcome.attempts,
+                        "result": result_to_dict(outcome.result, include_rounds=True),
+                    }
+                )
             else:
+                # A failed cell spent all of its attempts.
+                counts["retried"] += outcome.attempts
                 counts["failed"] += 1
-                self._journal_failure(outcome, cases)
+                self._journal(outcome.failure.to_record())
             self._emit(
-                "ok" if outcome.ok else "failed",
+                "ok" if outcome.failure is None else "failed",
                 outcome.index,
                 cases[outcome.index],
                 outcome.attempts,
@@ -446,36 +437,22 @@ class SweepRunner:
 
         results: List[RunResult] = []
         failures: List[CellFailure] = []
-        for index, case in enumerate(cases):
+        for index in range(len(cases)):
             if index in restored:
                 results.append(restored[index])
-                continue
-            outcome = outcomes[index]
-            if outcome.ok:
-                results.append(outcome.result)
+            elif outcomes[index].failure is None:
+                results.append(outcomes[index].result)
             else:
-                failures.append(
-                    CellFailure(
-                        index=index,
-                        key=keys[index],
-                        case=case,
-                        attempts=outcome.attempts,
-                        error_type=outcome.error_type,
-                        error_message=outcome.error_message,
-                        traceback_tail=outcome.traceback_tail,
-                    )
-                )
-        if self.journal is not None:
-            append_journal(
-                self.journal,
-                {
-                    "type": "complete",
-                    "completed": counts["completed"],
-                    "failed": counts["failed"],
-                    "retried": counts["retried"],
-                    "resumed": counts["resumed"],
-                },
-            )
+                failures.append(outcomes[index].failure)
+        self._journal(
+            {
+                "type": "complete",
+                "completed": counts["completed"],
+                "failed": counts["failed"],
+                "retried": counts["retried"],
+                "resumed": counts["resumed"],
+            }
+        )
         return SweepReport(
             results=results,
             failures=failures,
@@ -517,15 +494,9 @@ class SweepRunner:
             return {}
         path = Path(self.journal)
         digest = matrix_digest(keys)
-        fresh = not path.exists() or path.stat().st_size == 0
-        if fresh:
+        if journal_is_fresh(path, self.resume):
             append_journal(path, self._manifest(len(keys), digest))
             return {}
-        if not self.resume:
-            raise FileExistsError(
-                f"{path}: journal already exists; pass resume=True "
-                "(--resume) to continue it, or remove the file"
-            )
         manifest, results, _failures = load_journal(path)
         recorded = manifest.get("matrix", {}).get("digest")
         if recorded != digest:
@@ -559,62 +530,30 @@ class SweepRunner:
             "metadata": dict(self.metadata),
         }
 
-    def _journal_result(self, outcome: _CellOutcome) -> None:
-        if self.journal is None:
-            return
-        append_journal(
-            self.journal,
-            {
-                "type": "result",
-                "key": outcome.key,
-                "index": outcome.index,
-                "attempts": outcome.attempts,
-                "result": result_to_dict(outcome.result, include_rounds=True),
-            },
-        )
-
-    def _journal_failure(
-        self, outcome: _CellOutcome, cases: Sequence[Case]
-    ) -> None:
-        if self.journal is None:
-            return
-        failure = CellFailure(
-            index=outcome.index,
-            key=outcome.key,
-            case=cases[outcome.index],
-            attempts=outcome.attempts,
-            error_type=outcome.error_type,
-            error_message=outcome.error_message,
-            traceback_tail=outcome.traceback_tail,
-        )
-        append_journal(self.journal, failure.to_record())
-
-    def _payload(self, index: int, key: str, case: Case):
-        return (
-            index,
-            key,
-            case,
-            self.enforce_legality,
-            self.backend,
-            self.retries,
-            self.cell_timeout,
-            self.fault_hook,
-        )
+    def _journal(self, record: Dict[str, Any]) -> None:
+        if self.journal is not None:
+            append_journal(self.journal, record)
 
     def _execute(
         self, pending: Sequence[int], cases: Sequence[Case], keys: Sequence[str]
     ):
         """Yield one :class:`_CellOutcome` per pending cell, as it settles."""
-        payloads = [self._payload(index, keys[index], cases[index]) for index in pending]
-        parallel = self.workers is not None and self.workers > 1 and len(payloads) > 1
-        if not parallel:
-            for payload in payloads:
-                yield _execute_cell(payload)
+        execute = partial(
+            _execute_cell,
+            enforce_legality=self.enforce_legality,
+            backend=self.backend,
+            retries=self.retries,
+            cell_timeout=self.cell_timeout,
+            fault_hook=self.fault_hook,
+        )
+        if self.workers is None or self.workers < 2 or len(pending) < 2:
+            for index in pending:
+                yield execute(index, keys[index], cases[index])
             return
         # submit + wait (rather than pool.map) so each cell journals the
         # moment it settles — an interruption loses only cells in flight.
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {pool.submit(_execute_cell, payload) for payload in payloads}
+            futures = {pool.submit(execute, index, keys[index], cases[index]) for index in pending}
             while futures:
                 done, futures = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:

@@ -154,45 +154,69 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
+def _print_failures(failures, prefix: str = "") -> None:
+    """One stderr header, then one line per cell that failed for good."""
+    print(f"error: {prefix}{len(failures)} cell(s) failed:", file=sys.stderr)
+    for failure in failures:
+        print(
+            f"  {failure.case.display} n={failure.case.n} "
+            f"seed={failure.case.seed}: {failure.error_type}: "
+            f"{failure.error_message} (after {failure.attempts} attempts)",
+            file=sys.stderr,
+        )
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import inspect
+
+    from .bench.sweeprun import SweepError, SweepRunner
 
     scale = bench_scale(args.scale)
     if args.experiment.lower() == "all":
         ids = list(EXPERIMENTS)
     else:
         ids = [args.experiment.upper()]
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    options = None
-    journal = getattr(args, "journal", None)
-    if args.workers or args.retries or args.cell_timeout or journal:
-        from .bench.sweeprun import SweepOptions
-
-        options = SweepOptions(
+    try:
+        runner = SweepRunner(
             workers=args.workers,
             retries=args.retries,
             cell_timeout=args.cell_timeout,
-            journal=Path(journal) if journal else None,
-            resume=getattr(args, "resume", False),
+            journal=args.journal,
+            resume=args.resume,
         )
-    failures = 0
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    out_dir: Optional[Path] = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for experiment_id in ids:
         module = get_experiment(experiment_id)
         started = time.perf_counter()
-        # Older drivers take only (scale); pass options where accepted.
-        if options is not None and "options" in inspect.signature(module.run).parameters:
-            report = module.run(scale, options=options)
-        else:
-            report = module.run(scale)
+        # Drivers that run no sweep take only (scale).  The others get the
+        # runner with a journal of their own, so `all` never shares one.
+        kwargs = {}
+        if "runner" in inspect.signature(module.run).parameters:
+            kwargs["runner"] = runner.for_stage(experiment_id)
+        try:
+            report = module.run(scale, **kwargs)
+        except SweepError as error:
+            _print_failures(error.failures, f"{experiment_id}: ")
+            failed += 1
+            continue
+        except (FileExistsError, ValueError) as error:
+            if args.journal is None:
+                raise  # not a refused or mismatched journal
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - started
         text = report.render()
         print(text)
         print(f"({experiment_id} took {elapsed:.1f}s at scale={scale.name})\n")
         if out_dir:
             (out_dir / f"{experiment_id}.txt").write_text(text)
-    return failures
+    return 1 if failed else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -214,25 +238,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             line += f"  [retries: {event.retried}]"
         print(line, flush=True)
 
-    runner = SweepRunner(
-        workers=args.workers,
-        retries=args.retries,
-        cell_timeout=args.cell_timeout,
-        journal=args.journal,
-        resume=args.resume,
-        progress=render if not args.quiet else None,
-        backend=args.backend,
-        metadata={
-            "topology": args.topology,
-            "sizes": args.sizes,
-            "seeds": args.seeds,
-            "algorithms": args.algorithms,
-            "delivery": args.delivery,
-            "backend": args.backend,
-        },
-    )
     started = time.perf_counter()
     try:
+        runner = SweepRunner(
+            workers=args.workers,
+            retries=args.retries,
+            cell_timeout=args.cell_timeout,
+            journal=args.journal,
+            resume=args.resume,
+            progress=render if not args.quiet else None,
+            backend=args.backend,
+            metadata={
+                "topology": args.topology,
+                "sizes": args.sizes,
+                "seeds": args.seeds,
+                "algorithms": args.algorithms,
+                "delivery": args.delivery,
+                "backend": args.backend,
+            },
+        )
         report = runner.run(cases)
     except (FileExistsError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -261,14 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if incomplete:
         print(f"warning: {incomplete} runs hit the round cap")
     if report.failures:
-        print(f"error: {len(report.failures)} cell(s) failed:", file=sys.stderr)
-        for failure in report.failures:
-            print(
-                f"  {failure.case.display} n={failure.case.n} "
-                f"seed={failure.case.seed}: {failure.error_type}: "
-                f"{failure.error_message} (after {failure.attempts} attempts)",
-                file=sys.stderr,
-            )
+        _print_failures(report.failures)
         return 1
     return 0
 
@@ -608,32 +625,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="fan experiment sweeps out over N worker processes",
+        help="fan the sweeps of T1, T2, F1 and F3 out over N worker processes",
     )
     experiment_parser.add_argument(
         "--retries",
         type=int,
         default=0,
-        help="retry a failing sweep cell up to N times",
+        help="retry a failing sweep cell (T1, T2, F1, F3) up to N times",
     )
     experiment_parser.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per sweep cell attempt",
+        help="wall-clock budget per sweep cell attempt (T1, T2, F1, F3)",
     )
     experiment_parser.add_argument(
         "--journal",
         default=None,
         metavar="FILE",
-        help="journal completed cells to per-stage JSONL files "
-        "(experiments that sweep fork <stem>.<stage>.jsonl siblings)",
+        help="journal completed cells of T1, T2, F1, F3 and T9 to one "
+        "<stem>.<ID>.jsonl per experiment next to FILE (F3 and T9 fork "
+        "<stem>.<ID>.<stage>.jsonl per stage)",
     )
     experiment_parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip cells already recorded in --journal",
+        help="skip cells already recorded in the --journal files "
+        "(requires --journal)",
     )
     experiment_parser.set_defaults(handler=_cmd_experiment)
 
@@ -686,8 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip cells already recorded in --journal (failing if the "
-        "journal belongs to a different case matrix)",
+        help="skip cells already recorded in --journal (requires "
+        "--journal; failing if the journal belongs to a different case "
+        "matrix)",
     )
     sweep_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"

@@ -332,6 +332,7 @@ class TraceWorkload:
             delivery=self.delivery,
             observers=[lookup_observer, *observers],
             enforce_legality=enforce_legality,
+            fast_path=True,
             backend=backend,
             algorithm_name=self.algorithm,
             params=self.params,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.bench.runner import Case, build_graph, index_results, run_case, sweep
+from repro.bench.sweeprun import SweepRunner
 
 
 class TestCase:
@@ -94,18 +95,23 @@ class TestParallelSweep:
     def test_workers_match_serial_results(self):
         serial = sweep(["sublog", "namedropper"], "kout", [16, 24], [1, 2])
         parallel = sweep(
-            ["sublog", "namedropper"], "kout", [16, 24], [1, 2], workers=2
+            ["sublog", "namedropper"],
+            "kout",
+            [16, 24],
+            [1, 2],
+            runner=SweepRunner(workers=2),
         )
         assert parallel == serial
 
     def test_single_worker_stays_serial(self):
-        assert sweep(["flooding"], "kout", [16], [1], workers=1) == sweep(
-            ["flooding"], "kout", [16], [1]
-        )
+        single = sweep(["flooding"], "kout", [16], [1], runner=SweepRunner(workers=1))
+        assert single == sweep(["flooding"], "kout", [16], [1])
 
     def test_legacy_engine_sweep_matches_fast(self):
         fast = sweep(["namedropper"], "kout", [20], [3, 4])
-        legacy = sweep(["namedropper"], "kout", [20], [3, 4], backend="legacy")
+        legacy = sweep(
+            ["namedropper"], "kout", [20], [3, 4], runner=SweepRunner(backend="legacy")
+        )
         assert fast == legacy
 
 
@@ -148,6 +154,6 @@ class TestDeliveryThreading:
         )
         parallel = sweep(
             ["namedropper"], "kout", [16, 20], [1, 2], delivery="perlink:2",
-            workers=2,
+            runner=SweepRunner(workers=2),
         )
         assert parallel == serial

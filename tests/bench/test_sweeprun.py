@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.bench.sweeprun as sweeprun_module
 from repro.bench.runner import build_cases, case_key, sweep
 from repro.bench.store import load_journal, read_journal
 from repro.bench.sweeprun import (
@@ -13,7 +14,6 @@ from repro.bench.sweeprun import (
     FailCell,
     SlowCell,
     SweepError,
-    SweepOptions,
     SweepRunner,
     backoff_delay,
     matrix_digest,
@@ -48,30 +48,66 @@ class TestFailureIsolation:
         assert failure.case.n == 64 and failure.case.seed == 2
         assert report.results == [r for r in plain_results if (r.n, r.seed) != (64, 2)]
 
-    def test_sweep_raises_after_finishing_siblings(self, cases):
-        with pytest.raises(SweepError) as excinfo:
-            sweep(
-                ALGO,
-                "kout",
-                SIZES,
-                SEEDS,
-                retries=1,
-                progress=lambda event: None,
-                on_failure="raise",
-                _test_fault_hook=FailCell(n=64, seed=2),
-            )
-        assert len(excinfo.value.failures) == 1
-
-    def test_on_failure_skip_returns_partial(self, cases, plain_results):
-        results = sweep(
-            ALGO,
-            "kout",
-            SIZES,
-            SEEDS,
-            on_failure="skip",
-            _test_fault_hook=FailCell(n=64, seed=2),
+    def test_sweep_raises_after_finishing_siblings(self, cases, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        runner = SweepRunner(
+            retries=1, journal=journal, fault_hook=FailCell(n=64, seed=2)
         )
-        assert results == [r for r in plain_results if (r.n, r.seed) != (64, 2)]
+        with pytest.raises(SweepError) as excinfo:
+            sweep(ALGO, "kout", SIZES, SEEDS, runner=runner)
+        assert len(excinfo.value.failures) == 1
+        _manifest, results, failures = load_journal(journal)
+        assert len(results) == len(cases) - 1
+        assert len(failures) == 1
+
+
+#: A matrix whose namedropper cells fail in the protocol's own
+#: constructor (an unknown mode) while its sublog cells run fine.
+BOGUS_MATRIX = dict(
+    algorithms=["namedropper", "sublog"],
+    topology="kout",
+    sizes=[16, 24],
+    seeds=[1],
+    params_by_algorithm={"namedropper": {"mode": "bogus"}},
+)
+
+
+def _assert_names_the_namedropper_cells(error: SweepError) -> None:
+    named = [(failure.case.algorithm, failure.case.n) for failure in error.failures]
+    assert named == [("namedropper", 16), ("namedropper", 24)]
+    assert {failure.error_type for failure in error.failures} == {"ValueError"}
+
+
+class TestOnePath:
+    """Every sweep ends a failing cell the same way, serial or pooled."""
+
+    def test_plain_sweep_raises_after_the_sibling_cells(self, monkeypatch):
+        ran = []
+        real_run_case = sweeprun_module.run_case
+
+        def recording_run_case(case, **kwargs):
+            ran.append(case.algorithm)
+            return real_run_case(case, **kwargs)
+
+        monkeypatch.setattr(sweeprun_module, "run_case", recording_run_case)
+        with pytest.raises(SweepError) as excinfo:
+            sweep(**BOGUS_MATRIX)
+        _assert_names_the_namedropper_cells(excinfo.value)
+        assert ran == ["namedropper", "sublog", "namedropper", "sublog"]
+
+    def test_pooled_sweep_raises_after_the_sibling_cells(self):
+        events = []
+        runner = SweepRunner(workers=2, progress=events.append)
+        with pytest.raises(SweepError) as excinfo:
+            sweep(**BOGUS_MATRIX, runner=runner)
+        _assert_names_the_namedropper_cells(excinfo.value)
+        settled = sorted((event.case.algorithm, event.status) for event in events)
+        assert settled == [
+            ("namedropper", "failed"),
+            ("namedropper", "failed"),
+            ("sublog", "ok"),
+            ("sublog", "ok"),
+        ]
 
 
 class TestRetries:
@@ -223,27 +259,26 @@ class TestProgress:
 
 
 class TestSweepThreading:
-    def test_plain_kwargs_use_plain_path(self, plain_results):
-        # No robust option: sweep must not require sweeprun at all and
-        # stay byte-identical to the historical behaviour.
-        assert sweep(ALGO, "kout", SIZES, SEEDS) == plain_results
-
-    def test_progress_alone_engages_robust_path(self, plain_results):
+    def test_sweep_reports_progress_through_its_runner(self, plain_results):
         events = []
-        results = sweep(ALGO, "kout", SIZES, SEEDS, progress=events.append)
+        results = sweep(
+            ALGO, "kout", SIZES, SEEDS, runner=SweepRunner(progress=events.append)
+        )
         assert results == plain_results
         assert len(events) == len(plain_results)
-
-    def test_sweep_options_round_trip(self, tmp_path):
-        options = SweepOptions(workers=3, retries=2, cell_timeout=1.5)
-        kwargs = options.sweep_kwargs()
-        assert kwargs["workers"] == 3
-        assert kwargs["retries"] == 2
-        assert kwargs["cell_timeout"] == 1.5
+        assert all(event.status == "ok" for event in events)
 
     def test_for_stage_forks_the_journal(self, tmp_path):
-        options = SweepOptions(journal=tmp_path / "exp.jsonl")
-        staged = options.for_stage("kout")
+        runner = SweepRunner(workers=3, retries=2, journal=tmp_path / "exp.jsonl")
+        staged = runner.for_stage("kout")
         assert staged.journal.name == "exp.kout.jsonl"
-        assert options.for_stage("path").journal.name == "exp.path.jsonl"
-        assert SweepOptions().for_stage("kout").journal is None
+        assert (staged.workers, staged.retries) == (3, 2)
+        assert runner.journal.name == "exp.jsonl"
+        assert runner.for_stage("F3").for_stage("path").journal.name == (
+            "exp.F3.path.jsonl"
+        )
+        assert SweepRunner().for_stage("kout").journal is None
+
+    def test_resume_without_a_journal_is_refused(self):
+        with pytest.raises(ValueError, match="needs a journal"):
+            SweepRunner(resume=True)

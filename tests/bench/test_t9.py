@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.experiments import get_experiment
 from repro.bench.seeds import Scale
 from repro.bench.store import load_journal
-from repro.bench.sweeprun import SweepOptions
+from repro.bench.sweeprun import SweepRunner
 
 TINY = Scale(
     name="tiny",
@@ -32,8 +34,7 @@ class TestT9:
 
     def test_journal_then_resume_reproduces_report(self, tmp_path):
         journal = tmp_path / "t9.jsonl"
-        options = SweepOptions(journal=journal)
-        first = get_experiment("T9").run(TINY, options)
+        first = get_experiment("T9").run(TINY, SweepRunner(journal=journal))
         staged = sorted(path.name for path in tmp_path.iterdir())
         assert staged == [
             "t9.t9a.jsonl",
@@ -45,21 +46,30 @@ class TestT9:
         assert manifest["experiment"] == "T9"
         assert results and not failures
         resumed = get_experiment("T9").run(
-            TINY, SweepOptions(journal=journal, resume=True)
+            TINY, SweepRunner(journal=journal, resume=True)
         )
         assert resumed.render() == first.render()
 
     def test_resume_fills_a_truncated_journal(self, tmp_path):
         journal = tmp_path / "t9.jsonl"
-        get_experiment("T9").run(TINY, SweepOptions(journal=journal))
+        get_experiment("T9").run(TINY, SweepRunner(journal=journal))
         # Drop the last recorded cell; resume must recompute only it.
         staged = tmp_path / "t9.t9a.jsonl"
         lines = staged.read_text().splitlines()
         staged.write_text("\n".join(lines[:-1]) + "\n")
         before = len(load_journal(staged)[1])
         resumed = get_experiment("T9").run(
-            TINY, SweepOptions(journal=journal, resume=True)
+            TINY, SweepRunner(journal=journal, resume=True)
         )
         after = len(load_journal(staged)[1])
         assert after == before + 1
         assert resumed.artifacts
+
+    def test_rerun_without_resume_refuses_the_journal(self, tmp_path):
+        journal = tmp_path / "t9.jsonl"
+        get_experiment("T9").run(TINY, SweepRunner(journal=journal))
+        staged = tmp_path / "t9.t9a.jsonl"
+        finished = staged.read_text()
+        with pytest.raises(FileExistsError, match="--resume"):
+            get_experiment("T9").run(TINY, SweepRunner(journal=journal))
+        assert staged.read_text() == finished

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.seeds import Scale
+from repro.bench.store import read_journal
 from repro.cli import build_parser, main
 
 
@@ -103,6 +105,88 @@ class TestExperiment:
         with pytest.raises(ValueError):
             main(["experiment", "T42"])
 
+    def test_resume_without_journal_is_a_usage_error(self, capsys):
+        assert main(["experiment", "F1", "--scale", "small", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--journal" in captured.err
+
+
+TINY = Scale(name="tiny", seeds=(11,), sweep_sizes=(24, 48), focus_n=48, big_n=48)
+
+
+@pytest.fixture
+def tiny_all(monkeypatch):
+    """`experiment all` at a tiny scale, over two sweeping experiments and
+    one that runs no sweep."""
+    import repro.cli as cli_module
+    from repro.bench.experiments import EXPERIMENTS
+
+    subset = {key: EXPERIMENTS[key] for key in ("T1", "F1", "T4")}
+    monkeypatch.setattr(cli_module, "EXPERIMENTS", subset)
+    monkeypatch.setattr(cli_module, "bench_scale", lambda name: TINY)
+
+
+class TestExperimentJournal:
+    def test_all_gives_each_experiment_its_own_journal(
+        self, capsys, tmp_path, tiny_all
+    ):
+        journal = tmp_path / "exp.jsonl"
+        first_dir, second_dir = tmp_path / "a", tmp_path / "b"
+        args = ["experiment", "all", "--journal", str(journal)]
+        assert main([*args, "--out", str(first_dir)]) == 0
+        assert sorted(path.name for path in tmp_path.glob("*.jsonl")) == [
+            "exp.F1.jsonl",
+            "exp.T1.jsonl",
+        ]
+        assert main([*args, "--resume", "--out", str(second_dir)]) == 0
+        for name in ("T1.txt", "F1.txt", "T4.txt"):
+            assert (first_dir / name).read_text() == (second_dir / name).read_text()
+        # The resumed run re-ran nothing: 6 algorithms x 2 sizes x 1 seed.
+        records = read_journal(tmp_path / "exp.T1.jsonl")
+        assert [r["skipped"] for r in records if r["type"] == "resume"] == [12]
+
+    def test_existing_journal_without_resume_is_a_usage_error(
+        self, capsys, tmp_path, tiny_all
+    ):
+        journal = tmp_path / "t1.jsonl"
+        assert main(["experiment", "T1", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        assert main(["experiment", "T1", "--journal", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "already exists" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_failed_cells_are_reported_and_all_goes_on(
+        self, capsys, monkeypatch, tiny_all
+    ):
+        import repro.bench.sweeprun as sweeprun_module
+
+        real_run_case = sweeprun_module.run_case
+
+        def flooding_fails(case, **kwargs):
+            if case.algorithm == "flooding":
+                raise RuntimeError("injected flooding fault")
+            return real_run_case(case, **kwargs)
+
+        monkeypatch.setattr(sweeprun_module, "run_case", flooding_fails)
+        assert main(["experiment", "all"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[0] == "error: T1: 2 cell(s) failed:"
+        assert lines[1] == (
+            "  flooding n=24 seed=11: RuntimeError: injected flooding fault "
+            "(after 1 attempts)"
+        )
+        assert "error: F1: 2 cell(s) failed:" in lines
+        assert len(lines) == 6
+        # The experiment that runs no sweep still ran and reported.
+        assert "(T4 took" in captured.out
+        assert "(T1 took" not in captured.out
+
 
 class TestSweep:
     def test_sweep_saves_results(self, capsys, tmp_path):
@@ -117,6 +201,18 @@ class TestSweep:
 
         assert len(load_results(out)) == 1
         assert load_metadata(out)["topology"] == "kout"
+
+    def test_resume_without_journal_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", "--algorithms", "flooding", "--sizes", "16", "--seeds", "1",
+             "--out", str(out), "--resume"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "--journal" in captured.err
+        assert not out.exists()
 
     def test_sweep_with_delivery_records_metadata(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"
