@@ -2,24 +2,24 @@
 
 :class:`DiscoveryNode` extends the protocol core's :class:`ProtocolNode`
 with the bookkeeping every gossip-style algorithm needs: knowledge
-snapshots (shared, copy-once frozensets so that a broadcast to many
-recipients does not materialize the pointer set per recipient), a sorted
-view of the known peers (for seeded peer sampling and ring routing), and
-delta tracking (ids learned since the last send).
+snapshots (one immutable payload shared by every recipient, so that a
+broadcast to many recipients does not materialize the pointer set per
+recipient), a sorted view of the known peers (for seeded peer sampling
+and ring routing), and delta tracking (ids learned since the last send).
 
 The snapshot and the sorted view are derived from ``self.known``, the
 node's row of the host's knowledge.  Knowledge only grows, so both are
-cached against the row's size and rebuilt from one pass over the row
-when it changes — whoever taught the node, the host never has to tell
-it.
+cached against the row's size and rebuilt when it changes — whoever
+taught the node, the host never has to tell it.  The snapshot is
+:meth:`~repro.sim.node.ProtocolNode.id_set` of the row: on the mask
+store the row's own mask, with no copy.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import FrozenSet, List, Optional
-
+from typing import AbstractSet, List
 
 from ..sim.node import ProtocolNode
 
@@ -29,19 +29,19 @@ class DiscoveryNode(ProtocolNode):
 
     def __init__(self, node_id: int) -> None:
         super().__init__(node_id)
-        #: ``len(self.known)`` when the cached views below were built.
-        self._views_size = 0
-        self._snapshot: Optional[FrozenSet[int]] = None
+        #: ``len(self.known)`` when each cached view below was built.
+        self._peers_size = 0
+        self._snapshot_size = 0
+        self._snapshot: AbstractSet[int] = frozenset()
         self._sorted_peers: List[int] = []
-        self._sent_before: FrozenSet[int] = frozenset()
+        self._sent_before: AbstractSet[int] = frozenset()
 
     def sorted_peers(self) -> List[int]:
         """Known machines other than self, ascending; cached until
         knowledge grows.  The list is shared: do not mutate it."""
         known = self.known
-        if len(known) != self._views_size:
-            self._views_size = len(known)
-            self._snapshot = None
+        if len(known) != self._peers_size:
+            self._peers_size = len(known)
             # The fast store's rows iterate in ascending id order,
             # which makes the sort a linear pass.
             peers = list(known)
@@ -50,23 +50,23 @@ class DiscoveryNode(ProtocolNode):
             self._sorted_peers = peers
         return self._sorted_peers
 
-    def knowledge_snapshot(self, include_self: bool = True) -> FrozenSet[int]:
-        """A frozen copy of current knowledge, cached until it grows.
+    def knowledge_snapshot(self, include_self: bool = True) -> AbstractSet[int]:
+        """Current knowledge as an immutable payload, cached until it grows.
 
-        Sharing one frozenset across all recipients of a round keeps the
-        memory cost of full-knowledge broadcasts at O(|known|) per sender
-        per round instead of O(|known| × recipients).  It is built from
-        the same pass over the row as :meth:`sorted_peers`.
+        Every recipient of a round shares the one object, so a
+        full-knowledge broadcast costs O(|known|) per sender per round,
+        not O(|known| × recipients); on the simulator it is an n-bit
+        value (:meth:`~repro.sim.node.ProtocolNode.id_set`).
         """
-        peers = self.sorted_peers()
-        snapshot = self._snapshot
-        if snapshot is None:
-            snapshot = self._snapshot = frozenset(peers + [self.node_id])
+        known = self.known
+        if len(known) != self._snapshot_size:
+            self._snapshot_size = len(known)
+            self._snapshot = self.id_set(known)
         if include_self:
-            return snapshot
-        return snapshot - {self.node_id}
+            return self._snapshot
+        return self._snapshot - {self.node_id}
 
-    def unsent_delta(self) -> FrozenSet[int]:
+    def unsent_delta(self) -> AbstractSet[int]:
         """Ids learned since the last :meth:`mark_sent` call (self excluded)."""
         return self.knowledge_snapshot() - self._sent_before - {self.node_id}
 

@@ -55,12 +55,12 @@ class SwampingNode(DiscoveryNode):
         self, round_no: int, inbox: Sequence[Message], rng: random.Random
     ) -> List[Message]:
         # One shared snapshot per round: all recipients receive the SAME
-        # frozenset object.  Subtracting the recipient per message
+        # payload object.  Subtracting the recipient per message
         # (``snapshot - {peer}``) would materialize n fresh n-element sets
         # per sender — n³ memory per round, observed as an OOM kill at
-        # n = 1024.  Including the recipient's own id is harmless (it
-        # knows itself) and matches HBLL's definition, where a machine
-        # ships its entire pointer list.
+        # n = 1024 with frozensets.  Including the recipient's own id is
+        # harmless (it knows itself) and matches HBLL's definition, where
+        # a machine ships its entire pointer list.
         snapshot = self.knowledge_snapshot(include_self=False)
         outbox: List[Message] = []
         if self.full:

@@ -49,7 +49,7 @@ from ...workloads import make_workload, run_trace_workload
 from ..runner import Case, case_key, run_case
 from ..seeds import Scale
 from ..store import JOURNAL_SCHEMA, append_journal, load_journal
-from ..sweeprun import SweepRunner, journal_is_fresh
+from ..sweeprun import SweepRunner, check_matrix, journal_is_fresh, matrix_digest
 from ..tables import ExperimentReport, Table
 
 EXPERIMENT_ID = "T9"
@@ -70,15 +70,21 @@ class _StageCells:
     (:func:`repro.bench.store.append_journal`) and a resume run restores
     it through :func:`repro.bench.store.load_journal` instead of
     re-simulating.  An existing journal without ``resume`` raises
-    :class:`FileExistsError`.
+    :class:`FileExistsError`.  The manifest records the stage's case
+    matrix (``focus_n`` and the seeds, as :func:`matrix_digest`), and a
+    resume at another scale raises the ``ValueError`` a sweep's runner
+    raises.
     """
 
-    def __init__(self, runner: Optional[SweepRunner], stage: str) -> None:
+    def __init__(self, runner: Optional[SweepRunner], stage: str, scale: Scale) -> None:
         self.path: Optional[Path] = None
         self._cached: Dict[str, Dict[str, Any]] = {}
         if runner is None or runner.journal is None:
             return
         self.path = Path(runner.for_stage(stage).journal)
+        digest = matrix_digest(
+            [f"focus_n={scale.focus_n}", *(f"seed={seed}" for seed in scale.seeds)]
+        )
         if journal_is_fresh(self.path, runner.resume):
             append_journal(
                 self.path,
@@ -87,10 +93,12 @@ class _StageCells:
                     "schema": JOURNAL_SCHEMA,
                     "experiment": EXPERIMENT_ID,
                     "stage": stage,
+                    "matrix": {"digest": digest},
                 },
             )
         else:
-            _manifest, results, _failures = load_journal(self.path)
+            manifest, results, _failures = load_journal(self.path)
+            check_matrix(self.path, manifest, digest)
             self._cached = {key: dict(record["payload"]) for key, record in results.items()}
 
     def cell(
@@ -123,7 +131,7 @@ def _hot_decile(lookups: Dict[str, Any]) -> Dict[str, Any]:
 def _zipf_stage(
     report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(runner, "t9a")
+    cells = _StageCells(runner, "t9a", scale)
     n = scale.focus_n
     table = Table(
         f"T9a: Zipf-skewed lookup demand (kout, n={n}, {LOOKUP_ROUNDS}-round window)",
@@ -199,7 +207,7 @@ def _zipf_stage(
 def _flash_stage(
     report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(runner, "t9b")
+    cells = _StageCells(runner, "t9b", scale)
     n = scale.focus_n
     table = Table(
         f"T9b: flash crowd (kout, n={n}, burst at round 8)",
@@ -286,7 +294,7 @@ def _failures_stage(
     from ...workloads import fault_plan_from_trace
     from ..runner import build_graph
 
-    cells = _StageCells(runner, "t9c")
+    cells = _StageCells(runner, "t9c", scale)
     n = scale.focus_n
     clusters = 8
     table = Table(
@@ -413,7 +421,7 @@ def _failures_stage(
 def _dynamic_stage(
     report: ExperimentReport, scale: Scale, runner: Optional[SweepRunner]
 ) -> Dict[str, Any]:
-    cells = _StageCells(runner, "t9d")
+    cells = _StageCells(runner, "t9d", scale)
     n = scale.focus_n
     table = Table(
         f"T9d: dynamic contact-edge churn (kout, n={n}, 8 edges/round "

@@ -319,6 +319,16 @@ def matrix_digest(keys: Sequence[str]) -> str:
     return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
 
 
+def check_matrix(path: Path, manifest: Dict[str, Any], digest: str) -> None:
+    """Refuse to resume a journal written for another case matrix."""
+    recorded = manifest.get("matrix", {}).get("digest")
+    if recorded != digest:
+        raise ValueError(
+            f"{path}: journal belongs to a different case matrix "
+            f"(digest {recorded!r}, this sweep is {digest!r})"
+        )
+
+
 def journal_is_fresh(path: Path, resume: bool) -> bool:
     """True when *path* starts a new journal, False when it is resumed.
 
@@ -498,12 +508,7 @@ class SweepRunner:
             append_journal(path, self._manifest(len(keys), digest))
             return {}
         manifest, results, _failures = load_journal(path)
-        recorded = manifest.get("matrix", {}).get("digest")
-        if recorded != digest:
-            raise ValueError(
-                f"{path}: journal belongs to a different case matrix "
-                f"(digest {recorded!r}, this sweep is {digest!r})"
-            )
+        check_matrix(path, manifest, digest)
         index_by_key = {key: index for index, key in enumerate(keys)}
         restored: Dict[int, RunResult] = {}
         for key, record in results.items():

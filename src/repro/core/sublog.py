@@ -436,13 +436,13 @@ class SubLogNode(DiscoveryNode):
             return
         if len(self.roster) <= 1:
             return
-        # Each member gets the sorted roster minus itself, sliced from one
-        # tuple: about 8 B per pointer in flight, against about 64 B for a
-        # fresh frozenset per member.
-        ordered = tuple(sorted(self.roster))
-        for index, member in enumerate(ordered):
+        # Each member gets the roster minus itself, in ascending order.
+        # On the simulator that is one n-bit value per member, against
+        # 8 B per pointer for a tuple and 64 B for a frozenset.
+        roster = self.id_set(self.roster)
+        for member in sorted(self.roster):
             if member != self.node_id:
-                self.send(member, "roster", ids=ordered[:index] + ordered[index + 1 :])
+                self.send(member, "roster", ids=roster - {member})
         self._last_broadcast = len(self.roster)
 
     def _run_watchdog(self) -> None:

@@ -101,6 +101,7 @@ from ..graphs.idspace import dense_index
 from .churn import JoinPlan
 from .errors import EngineStateError, UnknownNodeError
 from .faults import FaultInjector, FaultPlan
+from .idset import IdUniverse
 from .mask_store import MaskStore, numpy_available
 from .messages import Message, tally_by_kind
 from .metrics import DROP_CRASH, MetricsCollector, RunResult
@@ -171,19 +172,23 @@ class SynchronousEngine:
             default) means lockstep, the classic synchronous model.
         observers: Read-only observers notified per round.
         enforce_legality: Verify the recipient and the ids of every
-            message against the sender's ground-truth knowledge.  Costs
-            O(total pointers) on both backends: per-id set probes in
-            the set store; in the mask store, set probes for a sender
-            that knows all but a few machines and otherwise one mask
-            conversion per distinct payload object (which delivery then
-            reuses).  Benchmarks may disable it, tests keep it on.
+            message against the sender's ground-truth knowledge.  The
+            set store probes every carried id.  The mask store proves an
+            id-set value with one subset test; it checks other payloads
+            with set probes for a sender that knows all but a few
+            machines, and otherwise with one mask conversion per distinct
+            payload object (which delivery then reuses).  Benchmarks may
+            disable it, tests keep it on.
         fast_path: With ``backend=None``, pick the mask store when numpy
             is importable and the set store otherwise; without it
             ``backend=None`` means the set store.  This is the one home
-            of the default-store rule: :func:`repro.discover`,
-            ``ScheduleScript.build_engine`` and the end-to-end
-            benchmark's worker (``perfbench/worker.py``) pass
-            ``fast_path=True``; an explicit backend always wins over it.
+            of the default-store rule.  Six callers pass
+            ``fast_path=True``: :func:`repro.discover`,
+            ``ScheduleScript.build_engine``, ``TraceWorkload.run``,
+            :func:`repro.apps.census.leader_census`,
+            :func:`repro.apps.overlay.form_ring` and the end-to-end
+            benchmark's worker (``perfbench/worker.py``).  An explicit
+            backend always wins over it.
         backend: Knowledge store by name — ``"legacy"`` or ``"fast"``
             (requires numpy).  ``None`` (the default) defers to
             ``fast_path``.
@@ -214,6 +219,8 @@ class SynchronousEngine:
         self.node_ids, self._index = dense_index(adjacency)
         if not self.node_ids:
             raise ValueError("cannot simulate an empty graph")
+        #: The dense index that payload values (:class:`IdSet`) are built over.
+        self.universe = IdUniverse(self.node_ids, self._index)
         self.n = len(self.node_ids)
         self._id_set = frozenset(self.node_ids)
         for node, neighbors in adjacency.items():
@@ -265,7 +272,7 @@ class SynchronousEngine:
         self._alive: Set[int] = set(self.node_ids)
         max_delay = self.delivery.uniform_delay or self.delivery.delay_bound or 1
         self.store: KnowledgeStore = STORES[backend](
-            self.node_ids, self._index, initial, self._alive, max_delay
+            self.universe, initial, self._alive, max_delay
         )
 
         # Protocol nodes.
@@ -276,7 +283,9 @@ class SynchronousEngine:
                 raise EngineStateError(
                     f"factory returned node id {protocol.node_id} for {node}"
                 )
-            protocol.bind(self.store.rows[node], derive_rng(seed, "node", node))
+            protocol.bind(
+                self.store.rows[node], derive_rng(seed, "node", node), self.universe
+            )
             self.nodes[node] = protocol
 
         self.round_no = 0

@@ -5,8 +5,8 @@ A message carries a *kind* tag, a collection of machine identifiers
 optional constant-size payload (``data``).  The accounting rules follow the
 model in DESIGN.md section 1:
 
-* ``pointer_count`` is ``len(ids)``; the harness sums this into the run's
-  pointer complexity.
+* ``pointer_count`` is ``len(ids)`` (a value's popcount); the harness sums
+  this into the run's pointer complexity.
 * ``data`` must be O(1) machine words of bookkeeping (sizes, coin flips,
   step tags).  It must **never** smuggle machine identifiers: the engine's
   learning rule only teaches the recipient the ``ids`` and the sender, so an
@@ -19,6 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Collection, Dict, Iterable, Tuple
 
+from .idset import IdSet
+
+#: Payload types a message keeps as they are: they cannot change in flight.
+#: ``IdSet`` comes last: an ``isinstance`` test against it goes through
+#: its ABC machinery unless the type matches exactly.
+_KEPT_PAYLOADS = (tuple, frozenset, IdSet)
+
 
 @dataclass(frozen=True, slots=True)
 class Message:
@@ -30,11 +37,12 @@ class Message:
         recipient: Identifier of the receiving machine.
         ids: Machine identifiers carried by this message.  The recipient
             learns every one of them upon delivery.  The message keeps
-            what its sender knew when it was built: a ``set`` payload is
-            stored as a ``frozenset`` copy and any other payload that is
-            not already a ``frozenset`` or ``tuple`` as a ``tuple`` copy,
-            so a sender that later changes the collection it passed
-            changes nothing in flight.
+            what its sender knew when it was built: an immutable payload
+            (an :class:`~repro.sim.idset.IdSet` value, a ``frozenset`` or
+            a ``tuple``) is kept as it is, a ``set`` is stored as a
+            ``frozenset`` copy and anything else as a ``tuple`` copy, so a
+            sender that later changes the collection it passed changes
+            nothing in flight.
         data: O(1)-word bookkeeping payload (may be ``None``).
     """
 
@@ -46,7 +54,7 @@ class Message:
 
     def __post_init__(self) -> None:
         ids = self.ids
-        if not isinstance(ids, (frozenset, tuple)):
+        if not isinstance(ids, _KEPT_PAYLOADS):
             frozen = frozenset(ids) if isinstance(ids, set) else tuple(ids)
             object.__setattr__(self, "ids", frozen)
 

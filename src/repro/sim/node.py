@@ -9,8 +9,9 @@ Two hosts ship with the repository — the synchronous simulator
 runtime (:mod:`repro.live`) — and both drive the identical node code
 through the same three entry points:
 
-* :meth:`bind` — install the node's row of the host's knowledge and
-  the node's private RNG (exactly once, before the first round);
+* :meth:`bind` — install the node's row of the host's knowledge, the
+  node's private RNG and, on the simulator, the run's id universe
+  (exactly once, before the first round);
 * :meth:`absorb` — see a delivered message at acceptance time;
 * :meth:`run_round` — execute one round against an inbox and return the
   outbox of messages to dispatch.
@@ -30,15 +31,23 @@ the knowledge from before the message.  Knowledge only grows, so
 ``len(self.known)`` serves as its version: caches derived from the row
 (snapshots, sorted views — see
 :class:`repro.algorithms.base.DiscoveryNode`) rebuild when it changes.
+
+Payloads a node builds from sets of ids go through :meth:`ProtocolNode.id_set`:
+on the simulator that is an :class:`~repro.sim.idset.IdSet` over the
+run's dense index (one n-bit int), on the live host, which has no dense
+index, a ``frozenset``.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import AbstractSet, Any, Collection, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, AbstractSet, Any, Collection, List, Optional, Sequence, Set
 
 from .messages import Message
+
+if TYPE_CHECKING:
+    from .idset import IdUniverse
 
 
 class ProtocolNode(abc.ABC):
@@ -46,30 +55,40 @@ class ProtocolNode(abc.ABC):
 
     Subclasses must call ``super().__init__(node_id)`` and implement
     :meth:`on_round`.  The host calls :meth:`bind` exactly once before the
-    first round to provide the node's row of its knowledge and the node's
-    private random stream.
+    first round to provide the node's row of its knowledge, the node's
+    private random stream and, on the simulator, the run's id universe.
     """
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.known: AbstractSet[int] = frozenset((node_id,))
         self.rng: random.Random = random.Random(0)
+        self.universe: Optional["IdUniverse"] = None
         self.halted = False
         self._outbox: List[Message] = []
 
     # -- host-facing lifecycle -----------------------------------------------------
 
-    def bind(self, known: AbstractSet[int], rng: random.Random) -> None:
-        """Install the node's row and RNG; then run protocol setup.
+    def bind(
+        self,
+        known: AbstractSet[int],
+        rng: random.Random,
+        universe: Optional["IdUniverse"] = None,
+    ) -> None:
+        """Install the node's row, RNG and id universe; then run
+        protocol setup.
 
         *known* is the row the host keeps for this node, holding the node
         itself and its initial contacts; the host writes it, the node
-        only reads it.
+        only reads it.  *universe* is the host's dense index, which
+        :meth:`id_set` builds values over; a host without one passes
+        ``None``.
         """
         if self.node_id not in known:
             raise ValueError(f"node {self.node_id}'s row does not hold the node itself")
         self.known = known
         self.rng = rng
+        self.universe = universe
         self.setup()
 
     def absorb(self, message: Message) -> None:
@@ -160,6 +179,19 @@ class ProtocolNode(abc.ABC):
         outbox it returns.
         """
         self._outbox.append(self.message(recipient, kind, ids=ids, data=data))
+
+    def id_set(self, ids: Collection[int]) -> AbstractSet[int]:
+        """*ids* as an immutable payload: an
+        :class:`~repro.sim.idset.IdSet` over the host's dense index, or a
+        ``frozenset`` on a host without one.
+
+        Reading the node's own row costs nothing on the mask store, whose
+        rows are masks already; ``value - {member}`` is one more mask.
+        """
+        universe = self.universe
+        if universe is None:
+            return frozenset(ids)
+        return universe.value(ids)
 
     def halt(self) -> None:
         """Mark this node as locally finished (diagnostic only).

@@ -28,6 +28,11 @@ identical digests, counters and
 :class:`~repro.sim.errors.ProtocolViolation`\\ s, and the reference
 legality scan (:meth:`KnowledgeStore.scan`) is the one the mask store
 falls back to when its own guard suspects a violation.
+
+Payloads reach both stores as they were built: tuples, frozensets, or
+:class:`~repro.sim.idset.IdSet` values over the run's dense index
+(:attr:`KnowledgeStore.universe`).  The set store walks a value's ids one
+by one like any other payload; the mask store reads its bits.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..graphs.knowledge import digest_knowledge
 from .errors import ProtocolViolation
+from .idset import IdUniverse
 from .messages import Message
 from .node import ProtocolNode
 
@@ -45,9 +51,8 @@ class KnowledgeStore:
     """Ground-truth knowledge of one run, plus its derived counters.
 
     Args:
-        node_ids: The machine ids in sorted order; machine ``node_ids[i]``
-            has dense index ``i``.
-        index: ``{machine id: dense index}``.
+        universe: The run's machine ids in dense order; machine
+            ``universe.node_ids[i]`` has dense index ``i``.
         initial: Each machine's initial knowledge, itself included.  The
             store takes these sets as its rows; the mask store reads
             them once and replaces them with views over its bits.
@@ -58,16 +63,16 @@ class KnowledgeStore:
 
     def __init__(
         self,
-        node_ids: Sequence[int],
-        index: Mapping[int, int],
+        universe: IdUniverse,
         initial: Dict[int, Set[int]],
         alive: Set[int],
         max_delay: int = 1,
     ) -> None:
-        self.n = len(node_ids)
-        self.node_ids = node_ids
-        self.index = index
-        self.id_set = frozenset(node_ids)
+        self.universe = universe
+        self.n = universe.n
+        self.node_ids = universe.node_ids
+        self.index = universe.index
+        self.id_set = frozenset(self.node_ids)
         self.alive = alive
         self.max_delay = max_delay
         #: ``{machine id: its knowledge}``, always current; each

@@ -73,3 +73,15 @@ class TestT9:
         with pytest.raises(FileExistsError, match="--resume"):
             get_experiment("T9").run(TINY, SweepRunner(journal=journal))
         assert staged.read_text() == finished
+
+    def test_resume_at_another_scale_refuses_the_journal(self, tmp_path):
+        journal = tmp_path / "t9.jsonl"
+        get_experiment("T9").run(TINY, SweepRunner(journal=journal))
+        staged = tmp_path / "t9.t9a.jsonl"
+        finished = staged.read_text()
+        smaller = Scale(
+            name="tiny", seeds=TINY.seeds, sweep_sizes=TINY.sweep_sizes, focus_n=40, big_n=48
+        )
+        with pytest.raises(ValueError, match="different case matrix"):
+            get_experiment("T9").run(smaller, SweepRunner(journal=journal, resume=True))
+        assert staged.read_text() == finished

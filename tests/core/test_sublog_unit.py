@@ -21,6 +21,7 @@ from repro.core.phases import (
     STEP_REPORT,
 )
 from repro.core.sublog import SubLogNode
+from repro.sim.idset import IdSet, IdUniverse
 from repro.sim.messages import Message
 
 
@@ -133,15 +134,30 @@ class TestAssignHandling:
 
 
 class TestCompletionBroadcast:
-    def test_roster_broadcast_ships_sorted_tuples_without_the_recipient(self):
+    def test_roster_broadcast_ships_id_set_values(self):
+        # Bound as the simulator binds it: over the run's dense index.
+        node = SubLogNode(1)
+        node.bind({1, 2, 5, 9}, random.Random(0), IdUniverse((1, 2, 5, 9, 12)))
+        node.roster = {1, 2, 5, 9}
+        node.pool = set()
+        outbox = deliver(node, round_for(STEP_ASSIGN))
+        rosters = [m for m in outbox if m.kind == "roster"]
+        assert [m.recipient for m in rosters] == [2, 5, 9]
+        assert all(type(m.ids) is IdSet for m in rosters)
+        # Ascending ids, the recipient left out.
+        assert [list(m.ids) for m in rosters] == [[1, 5, 9], [1, 2, 9], [1, 2, 5]]
+        assert [m.pointer_count for m in rosters] == [3, 3, 3]
+
+    def test_roster_broadcast_ships_frozensets_without_a_dense_index(self):
+        # The live host binds no universe.
         node = make_node(knows=(2, 5, 9))
         node.roster = {1, 2, 5, 9}
         node.pool = set()
         outbox = deliver(node, round_for(STEP_ASSIGN))
         rosters = [m for m in outbox if m.kind == "roster"]
         assert [m.recipient for m in rosters] == [2, 5, 9]
-        assert [m.ids for m in rosters] == [(1, 5, 9), (1, 2, 9), (1, 2, 5)]
-        assert all(type(m.ids) is tuple for m in rosters)
+        assert [m.ids for m in rosters] == [{1, 5, 9}, {1, 2, 9}, {1, 2, 5}]
+        assert all(type(m.ids) is frozenset for m in rosters)
 
 
 class TestInviteFlow:

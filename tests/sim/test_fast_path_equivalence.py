@@ -458,7 +458,7 @@ def _graph(ids, view):
 def test_carried_unlearned_real_id_violation_matches(space, view, large):
     ids = _ID_SPACES[space]
     sender, peer, stranger = ids[0], ids[1], ids[32]
-    # A large payload takes the numpy conversion, a small one the sums.
+    # A large payload takes the numpy conversion, a small one the per-id shifts.
     payload = (peer,) * (5000 if large else 1) + (stranger,)
     texts = _violation_texts(_graph(ids, view), {(1, sender): [(peer, payload)]})
     assert texts["legacy"] == texts["fast"]
@@ -509,7 +509,7 @@ def test_shared_and_duplicate_payloads_are_legal_and_identical(space, view):
     script = {
         # One payload object carried to several recipients.
         (1, ids[0]): [(ids[k], shared) for k in (1, 2, 3, 8)],
-        # Tuples with duplicate ids, small (sums) and large (numpy).
+        # Tuples with duplicate ids, small (per-id shifts) and large (numpy).
         (1, ids[1]): [(ids[9], (ids[2], ids[2], ids[3]))],
         (2, ids[8]): [(ids[9], (ids[4],) * 3000 + (ids[5],) * 3000)],
     }
