@@ -7,7 +7,7 @@ Runs ``perfbench/run.py`` at each workload's real size, for 10 s each::
 
 Peak RSS repeats to within about 1 MB from run to run, unlike the
 timings, so a shared CI runner can gate it.  The ceilings sit above the
-measured peaks (about 64 and 51 MB, docs/PERF.md §10) and below what the
+measured peaks (about 60 and 51 MB, docs/PERF.md §10) and below what the
 simulator read when ``sublog``'s completion broadcast shipped one tuple
 of ids per member (about 95 MB), and the 358 and 128 MB read while every
 protocol node kept its own set of what it knew and ``import repro``

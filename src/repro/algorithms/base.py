@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import AbstractSet, List
+from typing import AbstractSet, List, Optional
 
 from ..sim.node import ProtocolNode
 

@@ -52,6 +52,44 @@ def discovery_params(algorithm: str, delivery: Optional[str]) -> dict:
     return params
 
 
+def weak_discovery(
+    graph: KnowledgeGraph,
+    seed: int,
+    algorithm: str,
+    max_rounds: Optional[int],
+    delivery: Optional[str],
+) -> Tuple[RunResult, int, List[int]]:
+    """Run weak discovery on *graph* with *algorithm* on the default store.
+
+    Returns the run's result, its coordinator and the coordinator's
+    roster, ascending.  ``max_rounds`` overrides the algorithm's round
+    cap; ``delivery`` is a delivery-model spec string (``None`` =
+    lockstep), see :func:`repro.sim.transport.parse_delivery`.
+
+    Raises:
+        RuntimeError: If discovery does not complete within the cap.
+    """
+    spec = get_algorithm(algorithm)
+    params = discovery_params(algorithm, delivery)
+    engine = SynchronousEngine(
+        graph,
+        spec.node_factory(**params),
+        seed=seed,
+        goal="weak",
+        delivery=delivery,
+        fast_path=True,
+        algorithm_name=algorithm,
+        params=params,
+    )
+    cap = max_rounds if max_rounds is not None else spec.round_cap(graph.n)
+    result = engine.run(max_rounds=cap)
+    if not result.completed:
+        raise RuntimeError(f"weak discovery did not complete within {cap} rounds")
+    coordinator = engine.weak_leader()
+    assert coordinator is not None
+    return result, coordinator, sorted(engine.knowledge[coordinator])
+
+
 def leader_census(
     graph: KnowledgeGraph,
     seed: int = 0,
@@ -77,25 +115,7 @@ def leader_census(
     """
     if sample_size < 0:
         raise ValueError(f"sample_size must be >= 0, got {sample_size}")
-    spec = get_algorithm(algorithm)
-    params = discovery_params(algorithm, delivery)
-    engine = SynchronousEngine(
-        graph,
-        spec.node_factory(**params),
-        seed=seed,
-        goal="weak",
-        delivery=delivery,
-        fast_path=True,
-        algorithm_name=algorithm,
-        params=params,
-    )
-    cap = max_rounds if max_rounds is not None else spec.round_cap(graph.n)
-    result = engine.run(max_rounds=cap)
-    if not result.completed:
-        raise RuntimeError(f"weak discovery did not complete within {cap} rounds")
-    coordinator = engine.weak_leader()
-    assert coordinator is not None
-    roster: List[int] = sorted(engine.knowledge[coordinator])
+    result, coordinator, roster = weak_discovery(graph, seed, algorithm, max_rounds, delivery)
     rng = derive_rng(seed, "census-sample")
     size = min(sample_size, len(roster))
     sample = tuple(sorted(rng.sample(roster, size))) if size else ()

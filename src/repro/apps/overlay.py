@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..algorithms.registry import get_algorithm
 from ..graphs.knowledge import KnowledgeGraph
-from ..sim.engine import SynchronousEngine
 from ..sim.metrics import RunResult
-from .census import discovery_params
+from .census import weak_discovery
 
 
 def ring_successors(roster: Sequence[int]) -> Dict[int, int]:
@@ -139,27 +137,7 @@ def form_ring(
     within the round cap (it always completes on weakly connected inputs
     with the shipped algorithms; the error guards misuse).
     """
-    spec = get_algorithm(algorithm)
-    params = discovery_params(algorithm, delivery)
-    engine = SynchronousEngine(
-        graph,
-        spec.node_factory(**params),
-        seed=seed,
-        goal="weak",
-        delivery=delivery,
-        fast_path=True,
-        algorithm_name=algorithm,
-        params=params,
-    )
-    cap = max_rounds if max_rounds is not None else spec.round_cap(graph.n)
-    result = engine.run(max_rounds=cap)
-    if not result.completed:
-        raise RuntimeError(
-            f"weak discovery did not complete within {cap} rounds"
-        )
-    coordinator = engine.weak_leader()
-    assert coordinator is not None
-    roster = sorted(engine.knowledge[coordinator])
+    result, coordinator, roster = weak_discovery(graph, seed, algorithm, max_rounds, delivery)
     return RingResult(
         coordinator=coordinator,
         successors=ring_successors(roster),

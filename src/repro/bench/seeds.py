@@ -9,12 +9,12 @@ Experiments run at three scales:
   16 384, single seed; tens of minutes).  Every cell runs on the fast
   store, whose knowledge rows are the only copy (n²/8 bytes, 32 MiB at
   n = 16 384).  Wall clock and memory go to the protocols' traffic: the
-  payloads in flight (sublog's completion broadcast holds n − 1 tuples
-  of n − 1 ids at once; the gossip baselines send knowledge snapshots)
-  and the per-pointer legality and learning work over them.  That is
-  what the per-algorithm size caps in T1/F1 bound.  At n = 32 768 the
-  broadcast's tuples alone take 8 GiB, more than a machine with 8 GB of
-  memory holds.
+  payloads in flight (sublog's completion broadcast holds n − 1 id-set
+  values of n − 1 ids at once, one n-bit int each, so n²/8 bytes again;
+  the gossip baselines send knowledge snapshots, also values) and the
+  legality and learning work over them.  That is what the per-algorithm
+  size caps in T1/F1 bound.  At n = 32 768 the rows and the broadcast
+  take 128 MiB each.
 
 Select with the ``REPRO_BENCH_SCALE`` environment variable or the CLI's
 ``--scale`` flag.  Seeds are fixed constants so that every report is

@@ -104,7 +104,7 @@ from .faults import FaultInjector, FaultPlan
 from .idset import IdUniverse
 from .mask_store import MaskStore, numpy_available
 from .messages import Message, tally_by_kind
-from .metrics import DROP_CRASH, MetricsCollector, RunResult
+from .metrics import DROP_CRASH, DROP_FAULT, MetricsCollector, RunResult
 from .node import ProtocolNode
 from .observers import Observer
 from .rng import derive_rng
@@ -173,20 +173,18 @@ class SynchronousEngine:
         observers: Read-only observers notified per round.
         enforce_legality: Verify the recipient and the ids of every
             message against the sender's ground-truth knowledge.  The
-            set store probes every carried id.  The mask store proves an
-            id-set value with one subset test; it checks other payloads
-            with set probes for a sender that knows all but a few
-            machines, and otherwise with one mask conversion per distinct
-            payload object (which delivery then reuses).  Benchmarks may
+            set store probes every carried id.  The mask store reads an
+            id-set value as its bits, converts any other payload to a
+            mask, and proves it with one subset test.  Benchmarks may
             disable it, tests keep it on.
         fast_path: With ``backend=None``, pick the mask store when numpy
             is importable and the set store otherwise; without it
             ``backend=None`` means the set store.  This is the one home
-            of the default-store rule.  Six callers pass
+            of the default-store rule.  Five callers pass
             ``fast_path=True``: :func:`repro.discover`,
             ``ScheduleScript.build_engine``, ``TraceWorkload.run``,
-            :func:`repro.apps.census.leader_census`,
-            :func:`repro.apps.overlay.form_ring` and the end-to-end
+            :func:`repro.apps.census.weak_discovery` (behind
+            ``leader_census`` and ``form_ring``) and the end-to-end
             benchmark's worker (``perfbench/worker.py``).  An explicit
             backend always wins over it.
         backend: Knowledge store by name — ``"legacy"`` or ``"fast"``
@@ -270,10 +268,7 @@ class SynchronousEngine:
             known.add(node)
             initial[node] = known
         self._alive: Set[int] = set(self.node_ids)
-        max_delay = self.delivery.uniform_delay or self.delivery.delay_bound or 1
-        self.store: KnowledgeStore = STORES[backend](
-            self.universe, initial, self._alive, max_delay
-        )
+        self.store: KnowledgeStore = STORES[backend](self.universe, initial, self._alive)
 
         # Protocol nodes.
         self.nodes: Dict[int, ProtocolNode] = {}
@@ -491,11 +486,12 @@ class SynchronousEngine:
                             log.append((message, 0, reason))
                         continue
                 delivery.submit(message, round_no)
+        # Only non-zero counts: each entry adds its reason to the result.
+        dropped = ((DROP_FAULT, dropped_fault), (DROP_CRASH, dropped_crash))
         self.metrics.record_batch(
             messages_by_kind,
             pointers_by_kind,
-            dropped_fault,
-            dropped_by_reason=({DROP_CRASH: dropped_crash} if dropped_crash else None),
+            {reason: count for reason, count in dropped if count},
         )
 
     # -- results -------------------------------------------------------------------

@@ -44,8 +44,8 @@ _PEEL_BITS = 32
 #: ``b"0"``/``b"1"`` digits to the bytes 0/1, for ``itertools.compress``.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-#: Collections that are never a value or a row, tested before looking for
-#: a ``universe`` attribute.
+#: Collections that are never a value or a row, tested (after ``IdSet``
+#: itself, the common payload) before looking for a ``universe`` attribute.
 _PLAIN_COLLECTIONS = (tuple, list, set, frozenset)
 
 
@@ -101,9 +101,10 @@ class IdUniverse:
         bits.  Anything else is looked up id by id, by exact key: only an
         id equal to a machine's id names it.  Duplicates are allowed.
         """
-        if type(ids) not in _PLAIN_COLLECTIONS:
+        kind = type(ids)
+        if kind is IdSet or kind not in _PLAIN_COLLECTIONS:
             universe = getattr(ids, "universe", None)
-            if universe is not None and self.same_ids(universe):
+            if universe is self or (universe is not None and self.same_ids(universe)):
                 return ids.bits  # type: ignore[attr-defined]
         index = self.index
         count = len(ids)

@@ -13,12 +13,12 @@ Delivery learning is bounded by the **candidate mask**
 ``(mask[sender] | sender_bit) & ~mask[recipient]``: legal traffic only
 carries ids its sender knows, so the candidate mask upper-bounds what a
 delivery can teach, and a zero candidate mask proves in a few word
-operations that it teaches nothing.  A payload that is an
-:class:`~repro.sim.idset.IdSet` value is a mask already: the legality
-guard proves it with one subset test and delivery learns it with one
-``OR``.  The guard turns any other payload into a mask and keeps it
-until its messages have arrived, so delivery usually learns with one
-``AND``.  See docs/PERF.md §§2–4.
+operations that it teaches nothing.  Every payload takes one route:
+:meth:`IdUniverse.bits_of` reads an :class:`~repro.sim.idset.IdSet`
+value over the run's ids as its bits and converts any other payload,
+the legality guard proves that mask with one subset test against the
+sender's, and delivery learns ``(mask | sender_bit) & candidate``.  See
+docs/PERF.md §§2–4.
 
 numpy is a declared runtime dependency, but the simulator core must stay
 importable without it, and the set store runs without it.  The import is
@@ -30,31 +30,14 @@ clear, actionable error when it is built without it.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from collections.abc import Set as AbstractSet
-from typing import (
-    Collection,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from .errors import EngineStateError
-from .idset import IdSet, IdUniverse, np
+from .idset import IdUniverse, np
 from .messages import Message
 from .node import ProtocolNode
 from .store import KnowledgeStore
-
-#: A sender missing at most this many machines has its payloads other
-#: than values checked with set probes against the ids it may not name.
-_ABSENT_MAX = 64
 
 #: Set types ``MaskRow`` combines with, checked before the slower ABC test.
 _BUILTIN_SETS = (set, frozenset)
@@ -156,16 +139,6 @@ class MaskStore(KnowledgeStore):
         super().__init__(*args, **kwargs)
         n = self.n
         self._full = (1 << n) - 1
-        # ``{id(ids): (ids, mask)}`` for the payloads other than values
-        # of the messages in flight: filled by the legality guard, read
-        # by delivery.  Holding each payload keeps its id() valid.  The
-        # keys memoized in each round form one generation; a generation
-        # is dropped once every message sent in its round has been
-        # delivered, i.e. after as many rounds as the longest delivery
-        # delay.
-        self._memo: Dict[int, Tuple[Collection[int], int]] = {}
-        self._memo_keys: List[int] = []
-        self._memo_generations: Deque[List[int]] = deque()
         self.masks = [self.mask_of(self.rows[node]) for node in self.node_ids]
         self._sizes = [mask.bit_count() for mask in self.masks]
         self._complete_mask = 0
@@ -188,58 +161,25 @@ class MaskStore(KnowledgeStore):
     def check(self, node: int, outbox: Sequence[Message]) -> None:
         """Whole-outbox legality guard.
 
-        A message passes when its recipient's bit and its payload lie
-        inside the sender's mask.  A value over this run's ids is a mask
-        already, and one subset test decides it.  Any other payload from
-        a sender missing at most ``_ABSENT_MAX`` machines is decided by
-        two C-level set probes: every id names a machine, and none names
-        one the sender does not know; it is converted to a mask only when
-        its recipient may learn from the sender.  Any other payload is
-        converted (:meth:`mask_of`) once and memoized until every message
-        sent with it has arrived, for delivery to reuse.  When a check
-        fails, or a payload cannot be converted, the reference scan
-        decides, raising the exact
+        A message passes when its recipient's bit and its payload's mask
+        (:meth:`mask_of`: a value over this run's ids is its bits, any
+        other payload is converted) lie inside the sender's mask, one
+        subset test.  When a check fails, or a payload cannot be
+        converted, the reference scan decides, raising the exact
         :class:`~repro.sim.errors.ProtocolViolation`.
         """
         index = self.index
-        universe = self.universe
-        memo = self._memo
-        masks = self.masks
-        known = masks[index[node]]
-        missing = self._full ^ known
-        absent: Optional[Set[int]] = None
-        if missing.bit_count() <= _ABSENT_MAX:
-            absent = set(universe.ids_of(missing))
-            id_set = self.id_set
+        mask_of = self.mask_of
+        known = self.masks[index[node]]
         flagged = False
         for message in outbox:
             ri = index.get(message.recipient)
             if ri is None or not known >> ri & 1:
                 flagged = True
                 break
-            ids = message.ids
-            if type(ids) is IdSet and (
-                ids.universe is universe or universe.same_ids(ids.universe)
-            ):
-                if ids.bits & ~known:
-                    flagged = True
-                    break
-                continue
-            if absent is not None:
-                if not id_set.issuperset(ids) or (absent and not absent.isdisjoint(ids)):
-                    flagged = True
-                    break
-                if not known & ~masks[ri]:
-                    continue  # delivery has nothing to learn from this sender
-            entry = memo.get(id(ids))
-            if entry is not None:
-                mask = entry[1]
-            else:
-                mask = self.mask_of(ids)
-                if mask is None:
-                    break
-                memo[id(ids)] = (ids, mask)
-                self._memo_keys.append(id(ids))
+            mask = mask_of(message.ids)
+            if mask is None:
+                break
             if mask & ~known:
                 flagged = True
                 break
@@ -257,10 +197,9 @@ class MaskStore(KnowledgeStore):
     ) -> Dict[int, List[Message]]:
         inboxes: Dict[int, List[Message]] = {}
         index = self.index
-        universe = self.universe
         masks = self.masks
         full = self._full
-        memo = self._memo
+        mask_of = self.mask_of
         for message in messages:
             recipient = message.recipient
             bucket = inboxes.get(recipient)
@@ -283,38 +222,15 @@ class MaskStore(KnowledgeStore):
                 cand = (masks[si] | sbit) & ~kmr
                 if cand:
                     ids = message.ids
-                    if type(ids) is IdSet and (
-                        ids.universe is universe or universe.same_ids(ids.universe)
-                    ):
-                        mask = ids.bits
-                    else:
-                        checked = memo.get(id(ids)) if memo else None
-                        if checked is not None:
-                            # The legality guard converted this payload
-                            # when the message was sent.
-                            mask = checked[1]
-                        else:
-                            # Ids naming no machine (only possible with
-                            # enforcement off) are skipped.
-                            mask = self.mask_of(ids)
-                            if mask is None:
-                                mask = self.mask_of([target for target in ids if target in index])
+                    mask = mask_of(ids)
+                    if mask is None:
+                        # Ids naming no machine (only possible with
+                        # enforcement off) are skipped.
+                        mask = mask_of([target for target in ids if target in index])
                     add = (mask | sbit) & cand
                     if add:
                         self._apply(recipient, ri, add)
-        self._age_memo()
         return inboxes
-
-    def _age_memo(self) -> None:
-        """Close this round's memo generation and drop the oldest one
-        once no message that carried its payloads can still be in flight."""
-        generations = self._memo_generations
-        generations.append(self._memo_keys)
-        self._memo_keys = []
-        if len(generations) >= self.max_delay:
-            memo = self._memo
-            for key in generations.popleft():
-                del memo[key]
 
     def _apply(self, recipient: int, idx: int, add: int) -> None:
         """Fold a non-zero mask of new machines into a recipient's mask

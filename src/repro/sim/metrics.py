@@ -96,7 +96,6 @@ class MetricsCollector:
         self,
         messages_by_kind: Mapping[str, int],
         pointers_by_kind: Mapping[str, int],
-        dropped: int = 0,
         dropped_by_reason: Optional[Mapping[str, int]] = None,
     ) -> None:
         """Charge a whole round's sends in one call.
@@ -108,10 +107,10 @@ class MetricsCollector:
         adds counts, and kinds present with a zero pointer tally still
         materialize their key, exactly as ``record_send`` does.
 
-        ``dropped`` charges send-time ``fault`` drops (the legacy single
-        channel); ``dropped_by_reason`` charges an explicit per-reason
-        split on top of it (the engine uses it to keep send-time crash
-        losses under ``crash``).
+        ``dropped_by_reason`` charges the round's send-time drops per
+        reason (``fault``, ``crash``).  Each entry adds its key to
+        :attr:`dropped_by_reason`, even at zero, so pass non-zero counts
+        only.
         """
         messages = sum(messages_by_kind.values())
         pointers = sum(pointers_by_kind.values())
@@ -121,9 +120,6 @@ class MetricsCollector:
         self.pointers_by_kind.update(pointers_by_kind)
         self._round_messages += messages
         self._round_pointers += pointers
-        if dropped:
-            self.dropped_by_reason[DROP_FAULT] += dropped
-            self._round_dropped += dropped
         if dropped_by_reason:
             for reason, count in dropped_by_reason.items():
                 self.dropped_by_reason[reason] += count

@@ -32,7 +32,8 @@ falls back to when its own guard suspects a violation.
 Payloads reach both stores as they were built: tuples, frozensets, or
 :class:`~repro.sim.idset.IdSet` values over the run's dense index
 (:attr:`KnowledgeStore.universe`).  The set store walks a value's ids one
-by one like any other payload; the mask store reads its bits.
+by one like any other payload; the mask store reads a value's bits and
+converts any other payload to a mask.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class KnowledgeStore:
             them once and replaces them with views over its bits.
         alive: The engine's set of machines that have not crashed; the
             store reads it (shared, never written) for alive coverage.
-        max_delay: The most rounds a message can spend in flight.
     """
 
     def __init__(
@@ -66,15 +66,12 @@ class KnowledgeStore:
         universe: IdUniverse,
         initial: Dict[int, Set[int]],
         alive: Set[int],
-        max_delay: int = 1,
     ) -> None:
         self.universe = universe
         self.n = universe.n
         self.node_ids = universe.node_ids
         self.index = universe.index
-        self.id_set = frozenset(self.node_ids)
         self.alive = alive
-        self.max_delay = max_delay
         #: ``{machine id: its knowledge}``, always current; each
         #: machine's protocol node reads its own row.  Only the store
         #: writes them.
@@ -157,6 +154,7 @@ class SetStore(KnowledgeStore):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.id_set = frozenset(self.node_ids)
         known_by = {node: 0 for node in self.node_ids}
         for known in self.rows.values():
             for target in known:

@@ -80,8 +80,6 @@ class DeliveryModel:
     #: When set, every message takes exactly this many rounds; the engine
     #: then skips per-message :meth:`delay` calls in fault-free runs.
     uniform_delay: Optional[int] = None
-    #: Largest delay :meth:`delay` can return, when known and not uniform.
-    delay_bound: Optional[int] = None
     #: True when :meth:`drop_reason` must be consulted per delivery.
     filters_delivery: bool = False
     #: Registry/CLI name of the model family.
@@ -237,7 +235,6 @@ class BoundedJitter(DeliveryModel):
             raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.jitter = int(jitter)
         self.uniform_delay = 1 if self.jitter == 0 else None
-        self.delay_bound = 1 + self.jitter
 
     def describe(self) -> str:
         return f"jitter:{self.jitter}"
@@ -302,7 +299,6 @@ class PerLinkLatency(DeliveryModel):
         self.overrides: Dict[Tuple[int, int], int] = dict(delays or {})
         if self.spread == 0 and not self.overrides:
             self.uniform_delay = 1
-        self.delay_bound = max([1 + self.spread, *self.overrides.values()])
 
     def describe(self) -> str:
         return f"perlink:{self.spread}"

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Sequence
+import typing
+from typing import Optional, Sequence
 
 from repro.algorithms.base import DiscoveryNode
 from repro.sim.messages import Message
@@ -122,3 +123,12 @@ class TestRandomPeer:
         assert node.sorted_peers() is view
         node.known.add(4)  # nothing new: the view survives
         assert node.sorted_peers() is view
+
+
+class TestAnnotations:
+    def test_pick_random_peer_hints_resolve(self):
+        hints = typing.get_type_hints(DiscoveryNode.pick_random_peer)
+        assert hints == {
+            "rng": Optional[random.Random],
+            "return": Optional[int],
+        }

@@ -1,9 +1,10 @@
 """The census, ring and trace-replay entry points pick the default store.
 
 ``repro.discover`` passes ``fast_path=True`` to the engine, so with numpy
-importable its runs use the mask store.  ``leader_census``,
-``form_ring`` and ``TraceWorkload.run`` build their own engines and must
-follow the same rule; an explicit ``backend`` still wins.
+importable its runs use the mask store.  ``leader_census`` and
+``form_ring`` build their engines through ``census.weak_discovery``, and
+``TraceWorkload.run`` builds its own; both must follow the same rule,
+and an explicit ``backend`` still wins.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 import repro.apps.census as census_module
-import repro.apps.overlay as overlay_module
 import repro.workloads.driver as driver_module
 from repro.apps import form_ring, leader_census
 from repro.graphs import make_topology
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable
 
 @pytest.fixture
 def backends(monkeypatch):
-    """The store of every engine the three modules build, in order."""
+    """The store of every engine the two modules build, in order."""
     built = []
 
     class RecordingEngine(SynchronousEngine):
@@ -32,7 +32,7 @@ def backends(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self.backend)
 
-    for module in (census_module, overlay_module, driver_module):
+    for module in (census_module, driver_module):
         monkeypatch.setattr(module, "SynchronousEngine", RecordingEngine)
     return built
 

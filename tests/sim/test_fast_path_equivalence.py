@@ -401,13 +401,14 @@ class _ScriptedNode(ProtocolNode):
             )
 
 
-def _scripted_engine(graph, script, backend):
+def _scripted_engine(graph, script, backend, delivery=None):
     return SynchronousEngine(
         graph,
         lambda node: _ScriptedNode(node, script),
         seed=1,
         enforce_legality=True,
         backend=backend,
+        delivery=delivery,
     )
 
 
@@ -432,16 +433,16 @@ def _ring(ids):
 
 
 #: One id space whose ids are their own bit positions, and one sparse
-#: one.  Both are large enough that a ring machine misses more machines
-#: than the fast guard's set-probe route takes (``_ABSENT_MAX``).
+#: one.  Both are large enough that a ring machine misses more than 64
+#: machines, as in a large run's early rounds.
 _ID_SPACES = {
     "dense": list(range(128)),
     "random": [1_000_003 * k + 7 for k in range(128)],
 }
 
-#: How much machine ids[0], the sender below, knows: its ring neighbours
-#: (the fast guard converts its payloads to masks), or every machine but
-#: ids[32] and ids[33] (the guard probes sets instead).
+#: How much machine ids[0], the sender below, knows: its ring neighbours,
+#: or every machine but ids[32] and ids[33], as a sender late in a gossip
+#: run does.
 _VIEWS = ("ring", "almost-all")
 
 
@@ -480,8 +481,8 @@ def test_violation_after_fresh_learning_reads_current_knowledge(padding):
     # Round 1 teaches machine 0 about machine 2.  In round 2 machine 0's
     # first message is legal only through that learning and its second is
     # illegal: a reference scan on stale knowledge would blame the first.
-    # A chain of extra machines past 3 sends machine 0 from the guard's
-    # set-probe route to its mask conversion.
+    # A chain of extra machines past 3 leaves machine 0 missing most of
+    # the run's machines instead of one.
     n = 4 + padding
     graph = {node: {node - 1, node + 1} & set(range(n)) for node in range(n)}
     graph[2] = {1, 3}
@@ -496,9 +497,13 @@ def test_violation_after_fresh_learning_reads_current_knowledge(padding):
     assert "carries unknown id 3" in texts["legacy"]
 
 
+@pytest.mark.parametrize("delivery", [None, "adversarial:2"])
 @pytest.mark.parametrize("space", sorted(_ID_SPACES))
 @pytest.mark.parametrize("view", _VIEWS)
-def test_shared_and_duplicate_payloads_are_legal_and_identical(space, view):
+def test_shared_and_duplicate_payloads_are_legal_and_identical(space, view, delivery):
+    # Under adversarial:2 each payload is delivered three rounds after the
+    # legality check passed it, instead of one.
+    delay = 1 if delivery is None else 3
     ids = _ID_SPACES[space]
     graph = {node: set(ids) - {node} for node in ids[:8]}
     graph.update(_ring(ids[8:]))
@@ -511,10 +516,11 @@ def test_shared_and_duplicate_payloads_are_legal_and_identical(space, view):
         (1, ids[0]): [(ids[k], shared) for k in (1, 2, 3, 8)],
         # Tuples with duplicate ids, small (per-id shifts) and large (numpy).
         (1, ids[1]): [(ids[9], (ids[2], ids[2], ids[3]))],
-        (2, ids[8]): [(ids[9], (ids[4],) * 3000 + (ids[5],) * 3000)],
+        # Sent once the shared payload has taught ids[8] these ids.
+        (1 + delay, ids[8]): [(ids[9], (ids[4],) * 3000 + (ids[5],) * 3000)],
     }
-    engines = [_scripted_engine(graph, script, b) for b in ("legacy", "fast")]
-    for _ in range(3):
+    engines = [_scripted_engine(graph, script, b, delivery) for b in ("legacy", "fast")]
+    for _ in range(1 + 2 * delay):
         digests = set()
         for engine in engines:
             engine.step()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.sim.messages import Message
-from repro.sim.metrics import MetricsCollector, RunResult
+from repro.sim.metrics import DROP_FAULT, MetricsCollector, RunResult
 
 
 def _msg(kind: str = "x", ids: tuple = ()) -> Message:
@@ -155,7 +155,7 @@ class TestRecordBatch:
 
     def test_batch_charges_drops(self):
         collector = MetricsCollector()
-        collector.record_batch({"x": 5}, {"x": 10}, dropped=2)
+        collector.record_batch({"x": 5}, {"x": 10}, {DROP_FAULT: 2})
         stats = collector.close_round(1)
         assert stats.dropped_messages == 2
         assert stats.delivered_messages == 3

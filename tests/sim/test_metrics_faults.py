@@ -53,7 +53,7 @@ class TestDropReasons:
         collector.record_send(
             Message(kind="x", sender=1, recipient=2), dropped=True
         )
-        collector.record_batch({"x": 3}, {"x": 0}, dropped=2)
+        collector.record_batch({"x": 3}, {"x": 0}, {DROP_FAULT: 2})
         assert collector.dropped_by_reason == {DROP_FAULT: 3}
 
     def test_total_dropped_is_derived_from_reasons(self):

@@ -107,19 +107,23 @@ class TestModelSemantics:
         assert bound.delay(0, 1, 1) == 9
 
     def test_delay_bound_covers_every_drawn_delay(self):
+        # Each model draws every delay of its documented range and no
+        # other: 1 .. 1 + jitter, 1 .. 1 + spread, and an override as set.
         graph = make_topology("kout", 16, seed=2, k=3)
         engine = SynchronousEngine(graph, _node_factory(), seed=9)
         nodes = sorted(engine.node_ids)
-        for model in (
-            BoundedJitter(2),
-            PerLinkLatency(spread=3),
-            PerLinkLatency(spread=1, delays={(nodes[0], nodes[1]): 9}),
+        slow = (nodes[0], nodes[1])
+        for model, documented in (
+            (BoundedJitter(2), {1, 2, 3}),
+            (PerLinkLatency(spread=3), {1, 2, 3, 4}),
+            (PerLinkLatency(spread=1, delays={slow: 9}), {1, 2, 9}),
         ):
             bound = model.bind(engine)
             delays = {
                 bound.delay(a, b, r) for a in nodes for b in nodes for r in (1, 2)
             }
-            assert max(delays) == model.delay_bound
+            assert delays == documented
+        assert bound.delay(*slow, 3) == 9
 
     def test_partition_default_group_is_lower_half(self):
         graph = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
