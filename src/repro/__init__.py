@@ -160,7 +160,7 @@ def discover(
         backend: Engine backend, ``"legacy"`` (the reference set
             store) or ``"fast"`` (the bitmask store, differential-tested
             bit-identical to it).  ``None`` (the default) means
-            ``"fast"``, or ``"legacy"`` when numpy is missing.
+            ``"fast"``.
         profile: Record per-phase engine timings into
             ``result.extra["phase_timings"]``.
         **params: Algorithm parameters (for ``sublog``/``detmerge`` these

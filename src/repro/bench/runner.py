@@ -9,7 +9,7 @@ default — the model conformance of every shipped algorithm is established
 by the test suite (including the strict ball-containment observer), so the
 harness pays for it only in experiment F4, which is *about* the invariant.
 For the same reason the harness runs on the engine's fast store by
-default (the set store when numpy is missing): the differential suite
+default: the differential suite
 holds it bit-identical to the reference store, and the experiments exist
 to measure protocols, not to re-prove the engine.
 

@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=BACKENDS,
         help="engine backend: legacy (reference per-id sets) or fast "
-        "(Python-int bitmasks, the default when numpy is available)",
+        "(Python-int bitmasks, the default)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -716,8 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=BACKENDS,
-        help="pin every cell to one engine backend (default: fast, or "
-        "legacy when numpy is missing)",
+        help="pin every cell to one engine backend (default: fast)",
     )
     sweep_parser.set_defaults(handler=_cmd_sweep)
 

@@ -416,10 +416,14 @@ class LiveNodeRuntime:
                 for peer in waiting:
                     self._mark_suspect(peer, round_no)
                 return
+            # A timer, not ``asyncio.wait_for``: on Python 3.11,
+            # ``wait_for`` swallows a cancellation that arrives in the
+            # tick its inner wait finishes, and the node would wait on.
+            timer = loop.call_later(remaining, self._progress.set)
             try:
-                await asyncio.wait_for(self._progress.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
+                await self._progress.wait()
+            finally:
+                timer.cancel()
 
     async def _die(self, round_no: int) -> None:
         """Fail-stop: the live analog of ``FaultInjector.apply_crashes``.

@@ -164,12 +164,7 @@ def diff_engines(
 def diff_fast_vs_legacy(
     script: ScheduleScript, *, enforce_legality: bool = True
 ) -> DiffReport:
-    """The fast store against the reference store on one script.
-
-    Raises :class:`ImportError` when numpy is unavailable; callers that
-    must degrade gracefully should guard on
-    :func:`repro.sim.mask_store.numpy_available` first.
-    """
+    """The fast store against the reference store on one script."""
     return diff_engines(
         script.build_engine(backend="fast", enforce_legality=enforce_legality),
         script.build_engine(backend="legacy", enforce_legality=enforce_legality),

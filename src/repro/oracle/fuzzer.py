@@ -44,7 +44,6 @@ from ..sim.engine import SynchronousEngine
 from ..sim.metrics import RunResult
 from ..sim.observers import Observer
 from ..sim.rng import derive_rng
-from ..sim.mask_store import numpy_available
 from .differential import diff_fast_vs_legacy, diff_reduction
 from .invariants import InvariantOracle, OracleViolation
 from .script import ScheduleScript
@@ -223,16 +222,14 @@ def check_script(
     """Run every check one fuzz case gets; ``None`` means clean.
 
     On failure returns ``(kind, detail)`` where *kind* is ``invariant``
-    (the oracle raised), ``divergence`` (fast store != legacy store; the
-    differential check is skipped when numpy is unavailable, since the
-    fast store needs it), or ``reduction-divergence`` (degenerate model
-    != lockstep).
+    (the oracle raised), ``divergence`` (fast store != legacy store), or
+    ``reduction-divergence`` (degenerate model != lockstep).
     """
     try:
         run_script(script, strict=True, engine_hook=engine_hook)
     except OracleViolation as violation:
         return ("invariant", str(violation))
-    if differential and numpy_available():
+    if differential:
         report = diff_fast_vs_legacy(script)
         if not report.equal:
             return ("divergence", report.describe())

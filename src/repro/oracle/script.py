@@ -120,7 +120,7 @@ class ScheduleScript:
         differential runner uses this to pit a model against its lockstep
         reduction on an otherwise identical run).  ``backend`` selects
         the engine backend (``"legacy"`` or ``"fast"``); ``None`` means
-        ``"fast"``, or ``"legacy"`` when numpy is missing.
+        ``"fast"``.
         """
         spec = get_algorithm(self.algorithm)
         return SynchronousEngine(

@@ -48,25 +48,24 @@ adversarial delay, partition windows).
 Ground truth lives in a knowledge store (:mod:`repro.sim.store` states
 the contract): the loop asks it only to ``check`` an outbox, ``learn`` a
 delivery batch, hand out the ``rows`` the nodes and :attr:`knowledge`
-read, ``digest`` the state, keep the completion counters the goals read
-(complete machines, :meth:`weak_leader`, alive coverage) and ``inject``
-out-of-band knowledge.  The ``backend`` constructor parameter picks the
+read, ``digest`` the state, answer the goals from the knowledge
+(``closed`` over all machines or the alive ones, ``weak_leader``) and
+``inject`` out-of-band knowledge.  The store keeps no goal counters and
+never hears about crashes.  The ``backend`` constructor parameter picks the
 store:
 
 * ``"legacy"`` — :class:`~repro.sim.store.SetStore`, per-machine sets
   walked id by id: simple, obviously correct, and the reference the
   differential runner holds the mask store to;
 * ``"fast"`` — :class:`~repro.sim.mask_store.MaskStore`, one Python-int
-  bitmask per machine with candidate-mask learning (needs numpy for its
-  bulk payload conversion).
+  bitmask per machine with candidate-mask learning.
 
-Both stores yield identical per-round digests, counters, results and
+Both stores yield identical per-round digests, goal verdicts, results and
 :class:`ProtocolViolation`\\ s (``tests/sim/test_fast_path_equivalence.py``,
 the oracle's differential runner).  The engine constructor defaults to
 the legacy store, so casual engine construction gets the
 obviously-correct one; the bench harness, the CLI and
-:func:`repro.discover` default to the fast store, or to legacy when
-numpy is missing.
+:func:`repro.discover` default to the fast store.
 
 ``enforce_legality=False`` is a *promise* that the protocol is legal,
 not a license to cheat: an illegal protocol run without enforcement has
@@ -102,7 +101,7 @@ from .churn import JoinPlan
 from .errors import EngineStateError, UnknownNodeError
 from .faults import FaultInjector, FaultPlan
 from .idset import IdUniverse
-from .mask_store import MaskStore, numpy_available
+from .mask_store import MaskStore
 from .messages import Message, tally_by_kind
 from .metrics import DROP_CRASH, DROP_FAULT, MetricsCollector, RunResult
 from .node import ProtocolNode
@@ -177,9 +176,8 @@ class SynchronousEngine:
             id-set value as its bits, converts any other payload to a
             mask, and proves it with one subset test.  Benchmarks may
             disable it, tests keep it on.
-        fast_path: With ``backend=None``, pick the mask store when numpy
-            is importable and the set store otherwise; without it
-            ``backend=None`` means the set store.  This is the one home
+        fast_path: With ``backend=None``, pick the mask store; without
+            it ``backend=None`` means the set store.  This is the one home
             of the default-store rule.  Five callers pass
             ``fast_path=True``: :func:`repro.discover`,
             ``ScheduleScript.build_engine``, ``TraceWorkload.run``,
@@ -187,8 +185,8 @@ class SynchronousEngine:
             ``leader_census`` and ``form_ring``) and the end-to-end
             benchmark's worker (``perfbench/worker.py``).  An explicit
             backend always wins over it.
-        backend: Knowledge store by name — ``"legacy"`` or ``"fast"``
-            (requires numpy).  ``None`` (the default) defers to
+        backend: Knowledge store by name — ``"legacy"`` or ``"fast"``.
+            ``None`` (the default) defers to
             ``fast_path``.
         profile: Accumulate per-phase wall-clock timings (exposed as
             :attr:`phase_timings` and ``RunResult.extra["phase_timings"]``).
@@ -233,7 +231,7 @@ class SynchronousEngine:
         self._goal_fn = self._resolve_goal(goal)
         self.enforce_legality = enforce_legality
         if backend is None:
-            backend = "fast" if fast_path and numpy_available() else "legacy"
+            backend = "fast" if fast_path else "legacy"
         elif backend not in STORES:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -268,7 +266,7 @@ class SynchronousEngine:
             known.add(node)
             initial[node] = known
         self._alive: Set[int] = set(self.node_ids)
-        self.store: KnowledgeStore = STORES[backend](self.universe, initial, self._alive)
+        self.store: KnowledgeStore = STORES[backend](self.universe, initial)
 
         # Protocol nodes.
         self.nodes: Dict[int, ProtocolNode] = {}
@@ -310,23 +308,18 @@ class SynchronousEngine:
         if callable(goal):
             return goal
         if goal == "strong":
-            return lambda engine: engine.store.complete_count == engine.n
+            return lambda engine: engine.store.closed(engine.node_ids)
         if goal == "weak":
             return lambda engine: engine.weak_leader() is not None
         if goal == "strong_alive":
-            return lambda engine: engine.store.alive_complete == len(engine._alive)
+            return lambda engine: engine.store.closed(engine._alive)
         raise ValueError(f"unknown goal {goal!r}; expected one of {GOALS} or a callable")
 
     def weak_leader(self) -> Optional[int]:
-        """The first node satisfying the weak-discovery condition, if any.
-
-        Weak discovery needs a node that knows everyone *and* is known by
-        everyone.  Any such node is strongly complete, so the scan is
-        skipped outright while the incremental complete-node counter is
-        zero — which is every round until the very end of a run.
+        """The first node satisfying the weak-discovery condition, if any:
+        one that knows everyone *and* is known by everyone, read from
+        the store's knowledge (:meth:`~repro.sim.store.KnowledgeStore.weak_leader`).
         """
-        if self.store.complete_count == 0:
-            return None
         return self.store.weak_leader()
 
     def inject_knowledge(self, node: int, ids: Iterable[int]) -> bool:
@@ -383,12 +376,9 @@ class SynchronousEngine:
         round_no = self.round_no
         if self._delivery_log is not None:
             self._delivery_log = []
-        newly_crashed = self._faults.apply_crashes(round_no)
-        if newly_crashed:
-            for node in newly_crashed:
-                self._alive.discard(node)
-                self._inboxes.pop(node, None)
-            self.store.rebuild_alive()
+        for node in self._faults.apply_crashes(round_no):
+            self._alive.discard(node)
+            self._inboxes.pop(node, None)
 
         profile = self.profile
         tick = perf_counter() if profile else 0.0
@@ -505,7 +495,8 @@ class SynchronousEngine:
         return self._faults.crashed_nodes
 
     def is_strongly_complete(self) -> bool:
-        return self.store.complete_count == self.n
+        """Whether every machine knows every machine right now."""
+        return self.store.closed(self.node_ids)
 
     def goal_reached(self) -> bool:
         """Whether the run's goal predicate holds right now.

@@ -12,23 +12,17 @@ one by one (docs/PERF.md §4).
 
 The universe is also the one converter between ids and bits: the mask
 store's rows and payload masks go through :meth:`IdUniverse.bits_of` and
-:meth:`IdUniverse.ids_of`.  Both take a numpy route for large inputs and
-have a pure-Python one for interpreters without numpy, where the set
-store still runs.
+:meth:`IdUniverse.ids_of`.  Both take a numpy route for large inputs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from collections.abc import Set as AbstractSet
-from itertools import compress
 from operator import itemgetter
 from typing import Any, Collection, Dict, FrozenSet, Iterator, Optional, Sequence
 
-try:  # pragma: no cover - exercised either way by the no-numpy tests
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Payloads with ``len(ids) * n`` up to this many bits become masks by
 #: OR-ing one shifted bit per id (each allocates one n-bit int); larger
@@ -40,9 +34,6 @@ _SHIFT_PAYLOAD_BITS = 1 << 16
 #: by one; a larger one goes through one ``np.unpackbits`` and a gather,
 #: whose fixed cost (~7 µs at n = 2048) only pays off past it.
 _PEEL_BITS = 32
-
-#: ``b"0"``/``b"1"`` digits to the bytes 0/1, for ``itertools.compress``.
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 #: Collections that are never a value or a row, tested (after ``IdSet``
 #: itself, the common payload) before looking for a ``universe`` attribute.
@@ -71,7 +62,7 @@ class IdUniverse:
         self.n = len(self.node_ids)
         self.nbytes = (self.n + 7) >> 3
         #: ``node_ids`` as a numpy object array, for gathering a mask's ids.
-        self._id_array = None if np is None else np.array(self.node_ids, dtype=object)
+        self._id_array = np.array(self.node_ids, dtype=object)
         #: The last other universe found to number the same ids.
         self._twin: Optional[IdUniverse] = None
 
@@ -113,12 +104,6 @@ class IdUniverse:
             for node in ids:
                 bits |= 1 << index[node]
             return bits
-        if np is None:
-            digits = bytearray(b"0") * self.n
-            top = self.n - 1
-            for node in ids:
-                digits[top - index[node]] = 49  # b"1"
-            return int(digits, 2)
         dense = itemgetter(*ids)(index)
         flags = np.zeros(self.n, dtype=bool)
         flags[np.fromiter(dense if count > 1 else (dense,), dtype=np.intp, count=count)] = True
@@ -144,9 +129,6 @@ class IdUniverse:
                 bits ^= 1 << top
             ids.reverse()
             return ids
-        if np is None:
-            digits = format(bits, f"0{self.n}b")[::-1].encode().translate(_DIGIT_FLAGS)
-            return list(compress(node_ids, digits))
         row = np.frombuffer(bits.to_bytes(self.nbytes, "little"), dtype=np.uint8)
         flags = np.unpackbits(row, count=self.n, bitorder="little")
         return self._id_array[flags.view(bool)].tolist()

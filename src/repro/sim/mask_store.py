@@ -4,10 +4,10 @@ Machine ids are remapped onto ``[0, n)``
 (:func:`repro.graphs.idspace.dense_index`, held as the run's
 :class:`~repro.sim.idset.IdUniverse`) and each machine's knowledge is an
 n-bit integer, bit ``j`` set iff it knows ``node_ids[j]``.  The masks
-carry all the counting work — completion via popcount, the weak goal
-via a word-parallel running AND, alive coverage via masked popcounts —
-and are the only copy of what each machine knows: its protocol node
-reads its mask through a :class:`MaskRow` view.
+are the only copy of what each machine knows: its protocol node reads
+its mask through a :class:`MaskRow` view, and the goals are read from
+them with word-parallel operations when the engine asks — a subset
+test per holder for closure, a running AND for the weak goal.
 
 Delivery learning is bounded by the **candidate mask**
 ``(mask[sender] | sender_bit) & ~mask[recipient]``: legal traffic only
@@ -18,13 +18,7 @@ operations that it teaches nothing.  Every payload takes one route:
 value over the run's ids as its bits and converts any other payload,
 the legality guard proves that mask with one subset test against the
 sender's, and delivery learns ``(mask | sender_bit) & candidate``.  See
-docs/PERF.md §§2–4.
-
-numpy is a declared runtime dependency, but the simulator core must stay
-importable without it, and the set store runs without it.  The import is
-guarded (in :mod:`repro.sim.idset`): :func:`numpy_available` reports
-whether the mask store can run, and :func:`require_numpy` raises one
-clear, actionable error when it is built without it.
+docs/PERF.md §§1–4.
 """
 
 from __future__ import annotations
@@ -34,29 +28,13 @@ from collections.abc import Set as AbstractSet
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set
 
 from .errors import EngineStateError
-from .idset import IdUniverse, np
+from .idset import IdUniverse
 from .messages import Message
 from .node import ProtocolNode
 from .store import KnowledgeStore
 
 #: Set types ``MaskRow`` combines with, checked before the slower ABC test.
 _BUILTIN_SETS = (set, frozenset)
-
-
-def numpy_available() -> bool:
-    """Whether the mask store can run in this interpreter."""
-    return np is not None
-
-
-def require_numpy() -> None:
-    """Raise a clear error when the mask store is built without numpy."""
-    if np is None:
-        raise ImportError(
-            "the 'fast' engine backend requires numpy, which is a "
-            "declared dependency of this package but is not importable "
-            "in this environment; install it (pip install numpy) or "
-            "select backend='legacy' instead"
-        )
 
 
 class MaskRow(AbstractSet):
@@ -135,19 +113,11 @@ class MaskStore(KnowledgeStore):
     """Bitmask ground truth with candidate-mask learning."""
 
     def __init__(self, *args, **kwargs) -> None:
-        require_numpy()
         super().__init__(*args, **kwargs)
-        n = self.n
-        self._full = (1 << n) - 1
+        self._full = (1 << self.n) - 1
         self.masks = [self.mask_of(self.rows[node]) for node in self.node_ids]
         self._sizes = [mask.bit_count() for mask in self.masks]
-        self._complete_mask = 0
-        for idx, size in enumerate(self._sizes):
-            if size == n:
-                self.complete_count += 1
-                self._complete_mask |= 1 << idx
         self.rows = {node: MaskRow(self, idx) for idx, node in enumerate(self.node_ids)}
-        self.rebuild_alive()
 
     def mask_of(self, ids: Collection[int]) -> Optional[int]:
         """The dense bitmask of *ids*, or ``None`` when some id names no
@@ -229,28 +199,14 @@ class MaskStore(KnowledgeStore):
                         mask = mask_of([target for target in ids if target in index])
                     add = (mask | sbit) & cand
                     if add:
-                        self._apply(recipient, ri, add)
+                        self._apply(ri, add)
         return inboxes
 
-    def _apply(self, recipient: int, idx: int, add: int) -> None:
-        """Fold a non-zero mask of new machines into a recipient's mask
-        and maintain every derived counter with word-parallel operations."""
-        old = self.masks[idx]
-        new = old | add
+    def _apply(self, idx: int, add: int) -> None:
+        """Fold a non-zero mask of new machines into machine *idx*'s mask."""
+        new = self.masks[idx] | add
         self.masks[idx] = new
-        size = new.bit_count()
-        old_size = self._sizes[idx]
-        self._sizes[idx] = size
-        if size == self.n and old_size < self.n:
-            self.complete_count += 1
-            self._complete_mask |= 1 << idx
-        if recipient in self.alive:
-            if self._alive_mask == self._full:
-                alive_gain = size - old_size
-            else:
-                alive_gain = (add & ~old & self._alive_mask).bit_count()
-            if alive_gain:
-                self._credit_alive(recipient, alive_gain)
+        self._sizes[idx] = new.bit_count()
 
     def digest(self) -> str:
         digest = hashlib.sha256()
@@ -259,29 +215,36 @@ class MaskStore(KnowledgeStore):
             digest.update(mask.to_bytes(nbytes, "little"))
         return digest.hexdigest()
 
+    def closed(self, nodes: Collection[int]) -> bool:
+        want = self.mask_of(nodes)
+        masks = self.masks
+        index = self.index
+        for node in nodes:
+            if masks[index[node]] & want != want:
+                return False
+        return True
+
     def weak_leader(self) -> Optional[int]:
         # Bit j survives the AND of all masks iff everyone knows machine
-        # j; intersecting with the complete-machine mask and taking the
-        # lowest surviving bit yields the first qualifying machine.
-        common = self._complete_mask
+        # j; the lowest surviving bit of a complete machine is the first
+        # qualifying one.
+        common = self._full
         for mask in self.masks:
             common &= mask
             if not common:
                 return None
-        return self.node_ids[(common & -common).bit_length() - 1]
-
-    def rebuild_alive(self) -> None:
-        alive_mask = self.mask_of(self.alive)
-        self._alive_mask = alive_mask
-        masks = self.masks
-        index = self.index
-        self.alive_known = {
-            node: (masks[index[node]] & alive_mask).bit_count() for node in self.alive
-        }
-        self._count_alive_complete()
+        n = self.n
+        sizes = self._sizes
+        while common:
+            low = common & -common
+            idx = low.bit_length() - 1
+            if sizes[idx] == n:
+                return self.node_ids[idx]
+            common ^= low
+        return None
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         idx = self.index[node]
         add = self.mask_of(ids) & ~self.masks[idx]
         if add:
-            self._apply(node, idx, add)
+            self._apply(idx, add)

@@ -14,17 +14,21 @@ and offers the loop a handful of operations:
   engine binds every protocol node to its machine's row, so the store's
   representation is the only copy of what a machine knows;
 * :meth:`KnowledgeStore.digest` — the canonical SHA-256 of the state;
-* completion counters (:attr:`~KnowledgeStore.complete_count`,
-  :meth:`~KnowledgeStore.weak_leader`, alive coverage in
-  :attr:`~KnowledgeStore.alive_complete`);
+* the goals, read from the knowledge when asked:
+  :meth:`~KnowledgeStore.closed` (every machine of a set knows every
+  machine of it) and :meth:`~KnowledgeStore.weak_leader`;
 * :meth:`KnowledgeStore.inject` — out-of-band learning.
+
+A store holds knowledge only: it keeps no goal counters and never hears
+about crashes; the engine passes the alive machines to
+:meth:`~KnowledgeStore.closed` when its goal needs them.
 
 Two stores ship: :class:`SetStore` here (per-id sets, the reference
 implementation) and :class:`~repro.sim.mask_store.MaskStore` (one
 Python-int bitmask per machine).  The set store's rows are its own
 ``set``\\ s; the mask store hands out read-only
 :class:`~repro.sim.mask_store.MaskRow`\\ s over its bits.  Both produce
-identical digests, counters and
+identical digests, goal verdicts and
 :class:`~repro.sim.errors.ProtocolViolation`\\ s, and the reference
 legality scan (:meth:`KnowledgeStore.scan`) is the one the mask store
 falls back to when its own guard suspects a violation.
@@ -49,7 +53,7 @@ from .node import ProtocolNode
 
 
 class KnowledgeStore:
-    """Ground-truth knowledge of one run, plus its derived counters.
+    """Ground-truth knowledge of one run.
 
     Args:
         universe: The run's machine ids in dense order; machine
@@ -57,31 +61,17 @@ class KnowledgeStore:
         initial: Each machine's initial knowledge, itself included.  The
             store takes these sets as its rows; the mask store reads
             them once and replaces them with views over its bits.
-        alive: The engine's set of machines that have not crashed; the
-            store reads it (shared, never written) for alive coverage.
     """
 
-    def __init__(
-        self,
-        universe: IdUniverse,
-        initial: Dict[int, Set[int]],
-        alive: Set[int],
-    ) -> None:
+    def __init__(self, universe: IdUniverse, initial: Dict[int, Set[int]]) -> None:
         self.universe = universe
         self.n = universe.n
         self.node_ids = universe.node_ids
         self.index = universe.index
-        self.alive = alive
         #: ``{machine id: its knowledge}``, always current; each
         #: machine's protocol node reads its own row.  Only the store
         #: writes them.
         self.rows: Dict[int, AbstractSet[int]] = initial
-        #: Machines that know every machine.
-        self.complete_count = 0
-        #: ``{alive machine: alive machines it knows}``.
-        self.alive_known: Dict[int, int] = {}
-        #: Alive machines that know every alive machine.
-        self.alive_complete = 0
 
     def scan(self, node: int, outbox: Sequence[Message]) -> None:
         """Reference legality scan; raises on the first violation."""
@@ -117,30 +107,20 @@ class KnowledgeStore:
         little-endian dense bitmask, concatenated in sorted-id order."""
         raise NotImplementedError
 
-    def weak_leader(self) -> Optional[int]:
-        """The first machine that knows everyone and is known by everyone."""
+    def closed(self, nodes: Collection[int]) -> bool:
+        """Whether every machine in *nodes* knows every machine in *nodes*.
+
+        ``closed(node_ids)`` is strong discovery and ``closed(alive)``
+        its survivors-only form; an empty *nodes* is closed."""
         raise NotImplementedError
 
-    def rebuild_alive(self) -> None:
-        """Recount alive coverage after the alive set shrank."""
+    def weak_leader(self) -> Optional[int]:
+        """The first machine that knows everyone and is known by everyone."""
         raise NotImplementedError
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         """Teach *node* the real machine ids *ids* (its own id excluded)."""
         raise NotImplementedError
-
-    def _credit_alive(self, node: int, gain: int) -> None:
-        """Count *gain* newly known alive machines for alive *node*."""
-        count = self.alive_known[node] + gain
-        self.alive_known[node] = count
-        if count == len(self.alive):
-            self.alive_complete += 1
-
-    def _count_alive_complete(self) -> None:
-        target = len(self.alive)
-        self.alive_complete = sum(
-            1 for count in self.alive_known.values() if count == target
-        )
 
 
 class SetStore(KnowledgeStore):
@@ -155,14 +135,6 @@ class SetStore(KnowledgeStore):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.id_set = frozenset(self.node_ids)
-        known_by = {node: 0 for node in self.node_ids}
-        for known in self.rows.values():
-            for target in known:
-                known_by[target] += 1
-            if len(known) == self.n:
-                self.complete_count += 1
-        self._known_by = known_by
-        self.rebuild_alive()
 
     def learn(
         self, messages: Sequence[Message], nodes: Mapping[int, ProtocolNode]
@@ -179,9 +151,6 @@ class SetStore(KnowledgeStore):
     def _learn(self, node: int, new_ids: Iterable[int]) -> None:
         """The per-id learning rule."""
         knowledge = self.rows[node]
-        before = len(knowledge)
-        alive = self.alive
-        alive_gain = 0
         for target in new_ids:
             if target in knowledge:
                 continue
@@ -191,29 +160,26 @@ class SetStore(KnowledgeStore):
                 # Ignoring it keeps ground truth well-defined.
                 continue
             knowledge.add(target)
-            self._known_by[target] += 1
-            if target in alive:
-                alive_gain += 1
-        if len(knowledge) == self.n and before < self.n:
-            self.complete_count += 1
-        if alive_gain and node in alive:
-            self._credit_alive(node, alive_gain)
 
     def digest(self) -> str:
         return digest_knowledge({node: self.rows[node] for node in self.node_ids})
 
-    def weak_leader(self) -> Optional[int]:
-        n = self.n
-        known_by = self._known_by
-        for node in self.node_ids:
-            if len(self.rows[node]) == n and known_by[node] == n:
-                return node
-        return None
+    def closed(self, nodes: Collection[int]) -> bool:
+        want = frozenset(nodes)
+        rows = self.rows
+        return all(want <= rows[node] for node in want)
 
-    def rebuild_alive(self) -> None:
-        alive = self.alive
-        self.alive_known = {node: len(self.rows[node] & alive) for node in alive}
-        self._count_alive_complete()
+    def weak_leader(self) -> Optional[int]:
+        # The complete machines, narrowed to those every row holds; the
+        # ids ascend in dense order, so the smallest one is the first.
+        n = self.n
+        rows = self.rows
+        common = {node for node in self.node_ids if len(rows[node]) == n}
+        for known in rows.values():
+            if not common:
+                return None
+            common &= known
+        return min(common, default=None)
 
     def inject(self, node: int, ids: Collection[int]) -> None:
         self._learn(node, ids)

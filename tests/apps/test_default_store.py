@@ -1,10 +1,10 @@
 """The census, ring and trace-replay entry points pick the default store.
 
-``repro.discover`` passes ``fast_path=True`` to the engine, so with numpy
-importable its runs use the mask store.  ``leader_census`` and
-``form_ring`` build their engines through ``census.weak_discovery``, and
-``TraceWorkload.run`` builds its own; both must follow the same rule,
-and an explicit ``backend`` still wins.
+``repro.discover`` passes ``fast_path=True`` to the engine, so its runs
+use the mask store.  ``leader_census`` and ``form_ring`` build their
+engines through ``census.weak_discovery``, and ``TraceWorkload.run``
+builds its own; both must follow the same rule, and an explicit
+``backend`` still wins.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ import repro.workloads.driver as driver_module
 from repro.apps import form_ring, leader_census
 from repro.graphs import make_topology
 from repro.sim.engine import SynchronousEngine
-from repro.sim.mask_store import numpy_available
 from repro.workloads import make_workload, run_trace_workload
-
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 
 
 @pytest.fixture

@@ -145,6 +145,23 @@ class TestClusterFailFast:
 
         asyncio.run(scenario())
 
+    def test_cancel_landing_with_a_frame_ends_the_marker_wait(self):
+        async def scenario():
+            cluster = LiveCluster(ClusterSpec(n=4, algorithm="flooding", seed=0))
+            me, peer = sorted(cluster.nodes)[:2]
+            runtime = cluster.nodes[me]
+            task = asyncio.create_task(runtime._wait_for_markers(1, [peer], 30.0))
+            await asyncio.sleep(0.05)  # parked in its marker wait
+            # A frame lands in the same tick as the fleet's cancellation:
+            # the wait must end cancelled, not go back to waiting.
+            runtime._progress.set()
+            task.cancel()
+            done, _ = await asyncio.wait({task}, timeout=1.0)
+            assert task in done
+            assert task.cancelled()
+
+        asyncio.run(asyncio.wait_for(scenario(), 10))
+
     def test_close_is_exception_safe_per_node(self):
         async def scenario():
             cluster = LiveCluster(ClusterSpec(n=3, algorithm="flooding", seed=0))

@@ -66,8 +66,7 @@ class TestAcceptanceMatrix:
     def test_cell_is_clean(self, algorithm, delivery, crash_rounds):
         # check_script = strict oracle run (monotonicity, derivability,
         # conservation, silence, closure, ...) + per-round digest diff of
-        # the fast store against the legacy store (when numpy is
-        # available).
+        # the fast store against the legacy store.
         script = _script(algorithm, delivery, crash_rounds)
         failure = check_script(script, reduction=False)
         assert failure is None, f"{algorithm}/{delivery}/{crash_rounds}: {failure}"

@@ -244,20 +244,6 @@ class TestInjectedBugSelfTest:
         assert kind == "divergence"
         assert "fast-path != legacy" in detail
 
-    def test_differential_leg_skipped_without_numpy(self, monkeypatch):
-        import repro.oracle.fuzzer as fuzzer_mod
-        import repro.sim.mask_store as mask_store
-
-        def unreachable(script):
-            raise AssertionError("differential leg ran without numpy")
-
-        monkeypatch.setattr(mask_store, "np", None)
-        monkeypatch.setattr(fuzzer_mod, "diff_fast_vs_legacy", unreachable)
-        clean = ScheduleScript(
-            algorithm="flooding", topology="cycle", n=8, seed=13
-        )
-        assert check_script(clean, reduction=False) is None
-
     def test_fuzz_loop_shrinks_failures(self):
         report = fuzz(
             cases=2,

@@ -623,23 +623,6 @@ class TestBackendSelection:
             {0: {1}, 1: {0}}, _noop_factory
         ).backend == "legacy"
 
-    def test_missing_numpy_raises_clear_error(self, monkeypatch):
-        import repro
-        import repro.sim.mask_store as mask_store
-
-        monkeypatch.setattr(mask_store, "np", None)
-        assert not mask_store.numpy_available()
-        with pytest.raises(ImportError, match="'fast' engine backend requires numpy"):
-            SynchronousEngine({0: {1}, 1: {0}}, _noop_factory, backend="fast")
-        # The legacy reference store runs without numpy, and the default
-        # choices fall back to it.
-        SynchronousEngine({0: {1}, 1: {0}}, _noop_factory, backend="legacy")
-        assert SynchronousEngine(
-            {0: {1}, 1: {0}}, _noop_factory, fast_path=True
-        ).backend == "legacy"
-        graph = make_topology("kout", 16, seed=1, k=3)
-        assert repro.discover(graph, algorithm="namedropper", seed=1).completed
-
 
 def _noop_factory(node_id):
     class Quiet(ProtocolNode):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.sim.idset as idset
 from repro.graphs import make_topology
 from repro.sim.engine import SynchronousEngine
 from repro.sim.errors import ProtocolViolation
@@ -85,15 +84,6 @@ class TestValue:
     def test_an_id_naming_no_machine_is_refused(self):
         with pytest.raises(KeyError):
             universe().value([IDS[0], 12])
-
-    def test_routes_without_numpy_agree(self, monkeypatch):
-        space = universe()
-        chosen = space.node_ids[1::3]
-        bits = space.bits_of(chosen)
-        ids = list(space.ids_of(bits))
-        monkeypatch.setattr(idset, "np", None)
-        assert space.bits_of(chosen) == bits
-        assert list(space.ids_of(bits)) == ids == sorted(chosen)
 
 
 class TestMessageKeepsValue:

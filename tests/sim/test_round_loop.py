@@ -21,10 +21,7 @@ from repro.sim import (
 from repro.sim.churn import JoinPlan
 from repro.sim.engine import PROFILE_PHASES
 from repro.sim.faults import FaultPlan
-from repro.sim.mask_store import numpy_available
 from repro.sim.node import ProtocolNode
-
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 
 #: Delivery settings that exercise every branch of the in-flight filter:
 #: delayed traffic with send-time loss, crashes and a late joiner; a
